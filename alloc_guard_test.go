@@ -1,6 +1,7 @@
 package mptcpgo
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -293,5 +294,259 @@ func TestBulkTransferAllocBudget(t *testing.T) {
 	const budget = 8000
 	if avg > budget {
 		t.Fatalf("bulk transfer allocates %.0f allocs/run; budget %d (pre-recycling figure was ~59.8k)", avg, budget)
+	}
+}
+
+// TestSendStoreFullWindowNoAllocs guards the block-pooled send store on its
+// hardest cycle: a 512 KiB window kept full while one MSS is appended and
+// one trimmed per op must allocate nothing — blocks cycle through the pool,
+// and no Append ever moves live bytes.
+func TestSendStoreFullWindowNoAllocs(t *testing.T) {
+	const window, mss = 512 << 10, 1460
+	q := buffer.NewByteQueue(0)
+	q.Append(make([]byte, window))
+	seg := make([]byte, mss)
+	cycle := func() {
+		q.Append(seg)
+		q.TrimTo(q.HeadOffset() + mss)
+	}
+	for i := 0; i < 2*window/mss; i++ {
+		cycle()
+	}
+	if avg := testing.AllocsPerRun(2000, cycle); avg != 0 {
+		t.Fatalf("full-window send-store cycle allocates %.2f allocs/op; want 0", avg)
+	}
+}
+
+// fullWindowConn establishes a two-subflow connection with fixed 512 KiB
+// buffers over a 1 Gbps + 100 Mbps pair, a server that reads all it gets,
+// and a client send buffer filled to the brim.
+func fullWindowConn(t *testing.T) (*core.Connection, *sim.Simulator) {
+	t.Helper()
+	s := sim.New(3)
+	net := netem.Build(s,
+		netem.Symmetric("gbe", netem.Gbps(1), time.Millisecond, 0, 0),
+		netem.Symmetric("fe", netem.Mbps(100), time.Millisecond, 0, 0))
+	cfg := core.DefaultConfig()
+	cfg.AutoTuneBuffers = false // hold the send buffer at its 512 KiB maximum
+	readBuf := make([]byte, 64<<10)
+	if _, err := core.NewManager(net.Server).Listen(80, cfg, func(c *core.Connection) {
+		c.OnReadable = func() {
+			for c.ReadInto(readBuf) > 0 {
+			}
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	conn, err := core.NewManager(net.Client).Dial(net.Client.Interfaces()[0], packet.Endpoint{Addr: net.ServerAddr(0), Port: 80}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RunUntil(500 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if !conn.Established() || len(conn.Subflows()) != 2 {
+		t.Fatalf("connection not up: established=%v subflows=%d", conn.Established(), len(conn.Subflows()))
+	}
+	fill := make([]byte, 64<<10)
+	for conn.Write(fill) > 0 {
+	}
+	if conn.SenderMemory() != 512<<10 {
+		t.Fatalf("send buffer holds %d bytes, want it full", conn.SenderMemory())
+	}
+	return conn, s
+}
+
+// TestFullWindowWriteCycleAllocs runs the closed-loop writer's cycle on a
+// full 512 KiB connection buffer — wait for DATA_ACKs to free one MSS, write
+// it — and pins it to the steady-state send-path budget. It also bounds the
+// store's resident blocks: bytes leave the store once DATA_ACKed and no
+// subflow references them, so it never holds much more than the window.
+func TestFullWindowWriteCycleAllocs(t *testing.T) {
+	conn, s := fullWindowConn(t)
+	payload := make([]byte, 1460)
+	maxBlocks := 0
+	cycle := func() {
+		for conn.Write(payload) == 0 {
+			if !s.Step() {
+				t.Fatal("simulation ran dry with a full send buffer")
+			}
+		}
+		maxBlocks = max(maxBlocks, conn.SendStoreBlocks())
+	}
+	for i := 0; i < 2000; i++ {
+		cycle()
+	}
+	if avg := testing.AllocsPerRun(2000, cycle); avg >= 4 {
+		t.Fatalf("full-window write cycle allocates %.2f allocs/op; want < 4", avg)
+	}
+	if limit := 2 * (512 << 10) / 2048; maxBlocks > limit {
+		t.Fatalf("send store held %d blocks for a 512 KiB window; want <= %d", maxBlocks, limit)
+	}
+}
+
+// TestSendStoreReleasedAtTeardown checks that a connection torn down with
+// unacknowledged data returns every send-store block: aborted outright, and
+// closed but then losing every subflow to a reset.
+func TestSendStoreReleasedAtTeardown(t *testing.T) {
+	for _, abort := range []bool{true, false} {
+		conn, s := fullWindowConn(t)
+		if conn.SendStoreBlocks() < (512<<10)/2048 {
+			t.Fatalf("a full 512 KiB store holds only %d blocks", conn.SendStoreBlocks())
+		}
+		before := pool.Stats()
+		held := conn.SendStoreBlocks()
+		if abort {
+			conn.Abort()
+		} else {
+			conn.Close()
+			for _, sf := range conn.Subflows() {
+				sf.Endpoint().SendReset()
+			}
+		}
+		if err := s.RunUntil(s.Now() + 5*time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if !conn.Closed() || conn.SenderMemory() == 0 {
+			t.Fatalf("abort=%v: want a closed connection with unacked data (closed=%v, unacked=%d)", abort, conn.Closed(), conn.SenderMemory())
+		}
+		if n := conn.SendStoreBlocks(); n != 0 {
+			t.Fatalf("abort=%v: send store still holds %d blocks after teardown", abort, n)
+		}
+		after := pool.Stats()
+		if returned := (after.Puts - before.Puts) + (after.Drops - before.Drops); returned < uint64(held) {
+			t.Fatalf("abort=%v: %d blocks held, only %d buffers went back to the pool", abort, held, returned)
+		}
+	}
+}
+
+// retransmitTap is a middlebox on both paths of a two-path connection. Until
+// dropUntil it blackholes the client's data segments on path A, so their
+// mappings are reinjected on path B and DATA_ACKed there; afterwards A's own
+// retransmissions of those already DATA_ACKed bytes get through. Every data
+// segment it sees is checked against the first transmission of its mapping
+// and against its DSS checksum.
+type retransmitTap struct {
+	t         *testing.T
+	dropUntil time.Duration
+	originals map[packet.DataSeq][]byte
+	// dataAcked is the highest DATA_ACK the server sent; ackedRtx counts the
+	// data segments on path A whose bytes were all DATA_ACKed already.
+	dataAcked packet.DataSeq
+	ackedRtx  int
+}
+
+// tapBox is retransmitTap's middlebox on one path.
+type tapBox struct {
+	tap   *retransmitTap
+	pathA bool
+}
+
+func (*tapBox) Name() string { return "retransmit-tap" }
+
+func (b *tapBox) Process(ctx netem.BoxContext, dir netem.Direction, seg *packet.Segment) []*packet.Segment {
+	r := b.tap
+	dss, _ := seg.MPTCPOption(packet.SubDSS).(*packet.DSSOption)
+	switch {
+	case dss == nil:
+	case dir == netem.BtoA:
+		if dss.HasDataACK && dss.DataACK > r.dataAcked {
+			r.dataAcked = dss.DataACK
+		}
+	case dss.HasMapping && len(seg.Payload) > 0:
+		r.check(dss, seg.Payload)
+		if !b.pathA {
+			break
+		}
+		if ctx.Now() < r.dropUntil {
+			seg.Release()
+			return nil
+		}
+		if dss.DataSeq+packet.DataSeq(dss.Length) <= r.dataAcked {
+			r.ackedRtx++
+		}
+	}
+	return []*packet.Segment{seg}
+}
+
+func (r *retransmitTap) check(dss *packet.DSSOption, payload []byte) {
+	if !packet.VerifyDSSChecksum(dss, payload) {
+		r.t.Errorf("mapping %d: DSS checksum does not verify", dss.DataSeq)
+	}
+	if orig, ok := r.originals[dss.DataSeq]; !ok {
+		r.originals[dss.DataSeq] = append([]byte(nil), payload...)
+	} else if !bytes.Equal(orig, payload) {
+		r.t.Errorf("mapping %d: retransmitted bytes differ from the original", dss.DataSeq)
+	}
+}
+
+// TestRetransmitAfterReinjectionDataAcked covers the one subtle case of the
+// copy-once send store: a subflow may have to retransmit bytes that a
+// reinjection already got DATA_ACKed on another subflow, and its DSS
+// checksum covers exactly those bytes, so they must still be resident and
+// unchanged.
+func TestRetransmitAfterReinjectionDataAcked(t *testing.T) {
+	s := sim.New(5)
+	net := netem.Build(s,
+		netem.Symmetric("a", netem.Mbps(100), 10*time.Millisecond, 0, 0),
+		netem.Symmetric("b", netem.Mbps(100), 10*time.Millisecond, 0, 0))
+	tap := &retransmitTap{t: t, dropUntil: 600 * time.Millisecond, originals: map[packet.DataSeq][]byte{}}
+	net.Paths[0].AddBox(&tapBox{tap: tap, pathA: true})
+	net.Paths[1].AddBox(&tapBox{tap: tap})
+
+	cfg := core.DefaultConfig()
+	const total = 4 << 20
+	data := make([]byte, total)
+	for i := range data {
+		data[i] = byte(i*7 + i>>9)
+	}
+	var got []byte
+	var server *core.Connection
+	if _, err := core.NewManager(net.Server).Listen(80, cfg, func(c *core.Connection) {
+		server = c
+		c.OnReadable = func() {
+			for {
+				d := c.Read(64 << 10)
+				if len(d) == 0 {
+					break
+				}
+				got = append(got, d...)
+			}
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	conn, err := core.NewManager(net.Client).Dial(net.Client.Interfaces()[0], packet.Endpoint{Addr: net.ServerAddr(0), Port: 80}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sent := 0
+	pump := func() {
+		for sent < total {
+			n := conn.Write(data[sent:])
+			if n == 0 {
+				return
+			}
+			sent += n
+		}
+		conn.Close()
+	}
+	conn.OnEstablished = pump
+	conn.OnWritable = pump
+	if err := s.RunUntil(20 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+
+	if !bytes.Equal(got, data) {
+		t.Fatalf("server received %d of %d bytes, intact prefix: %v", len(got), total, bytes.Equal(got, data[:len(got)]))
+	}
+	if conn.Stats().Reinjections == 0 {
+		t.Fatal("the blackhole caused no reinjection")
+	}
+	if tap.ackedRtx == 0 {
+		t.Fatal("no subflow retransmission of already DATA_ACKed bytes was observed")
+	}
+	if n := server.Stats().ChecksumFailures; n != 0 {
+		t.Fatalf("server saw %d DSS checksum failures", n)
 	}
 }

@@ -111,11 +111,17 @@ type Connection struct {
 
 	// ---- data-level send state (relative sequence numbers, 0-based) ----
 	autotunedSndBuf int
-	sndBuf          *buffer.ByteQueue
-	dataUna         uint64
-	dataNxt         uint64
-	rwndLimit       uint64
-	inflight        []*txMapping
+	// sndBuf is the connection's send store, the only copy of unsent and
+	// un-DATA_ACKed bytes: subflow chunks reference its ranges by data
+	// sequence number (tcp.Endpoint.AttachSendStore). Its physical head may
+	// lag dataUna; see trimSendStore.
+	sndBuf *buffer.ByteQueue
+	// csumPieces is scratch for the store pieces a DSS checksum covers.
+	csumPieces [][]byte
+	dataUna    uint64
+	dataNxt    uint64
+	rwndLimit  uint64
+	inflight   []*txMapping
 	// mappingFree recycles txMapping structs popped by cumulative DATA_ACKs
 	// (one mapping is created per transmitted chunk).
 	mappingFree   []*txMapping
@@ -217,7 +223,13 @@ func (c *Connection) Config() Config { return c.cfg }
 // SenderMemory returns the bytes currently held in the connection-level send
 // queue (written but not yet DATA_ACKed) — the sender-side memory metric of
 // Figure 5.
-func (c *Connection) SenderMemory() int { return c.sndBuf.Len() }
+func (c *Connection) SenderMemory() int { return int(c.sndBuf.TailOffset() - c.sendHead()) }
+
+// SendStoreBlocks returns how many pool blocks the connection's send store
+// holds. It is the resident counterpart of SenderMemory: the store can hold
+// more than SenderMemory counts while a subflow still references bytes that
+// are already DATA_ACKed.
+func (c *Connection) SendStoreBlocks() int { return c.sndBuf.Blocks() }
 
 // ReceiverMemory returns the bytes held in the connection-level receive and
 // reassembly queues plus the subflow-level out-of-order queues — the
@@ -256,7 +268,7 @@ func (c *Connection) Write(data []byte) int {
 // sendBufferSpace returns the free space in the connection-level send buffer,
 // honouring Mechanism 3's autotuned limit.
 func (c *Connection) sendBufferSpace() int {
-	return c.effectiveSendBuffer() - c.sndBuf.Len()
+	return c.effectiveSendBuffer() - c.SenderMemory()
 }
 
 // effectiveSendBuffer implements Mechanism 3 (buffer autotuning): the send
@@ -341,7 +353,7 @@ func (c *Connection) ReadInto(p []byte) int {
 	}
 	before := c.receiveWindowWouldBe()
 	head := c.rcvBuf.HeadOffset()
-	n := copy(p, c.rcvBuf.Peek(head, len(p)))
+	n := c.rcvBuf.CopyTo(p, head)
 	c.rcvBuf.TrimTo(head + uint64(n))
 	c.stats.BytesDelivered += uint64(n)
 	// Window update: if reading freed a meaningful amount of the shared
@@ -643,7 +655,7 @@ func (c *Connection) dialJoinSubflow(ifc *netem.Interface, remote packet.Endpoin
 		c.removeSubflow(s)
 		return
 	}
-	s.ep = ep
+	s.attach(ep)
 	c.usedRemote[remote] = true
 }
 
@@ -672,6 +684,9 @@ func (c *Connection) onSubflowFailed(s *Subflow, reason string) {
 func (c *Connection) onSubflowClosed(s *Subflow, err error) {
 	s.failed = true
 	if c.closed {
+		// The last reference a closing subflow held may have been all that
+		// kept the send store resident.
+		c.trimSendStore()
 		return
 	}
 	if c.probe != nil {
@@ -711,7 +726,7 @@ func (c *Connection) onSubflowClosed(s *Subflow, err error) {
 // maybeFinishAfterLastSubflow decides the terminal state once no subflows
 // remain.
 func (c *Connection) maybeFinishAfterLastSubflow(err error) {
-	cleanSend := !c.dataFinQueued || c.dataFinAcked || (c.Fallback() && c.sndBuf.Len() == 0)
+	cleanSend := !c.dataFinQueued || c.dataFinAcked || (c.Fallback() && c.SenderMemory() == 0)
 	cleanRecv := c.eofConsumed || !c.remoteDataFin || c.Fallback()
 	if err == nil && cleanSend && cleanRecv {
 		c.finish(nil)
@@ -922,6 +937,7 @@ func (c *Connection) finish(err error) {
 	c.closed = true
 	c.err = err
 	c.connRtx.Stop()
+	c.trimSendStore()
 	c.mgr.removeConnection(c)
 	if c.OnClosed != nil {
 		cb := c.OnClosed

@@ -96,7 +96,7 @@ func (m *Manager) Dial(iface *netem.Interface, remote packet.Endpoint, cfg Confi
 	if err != nil {
 		return nil, err
 	}
-	s.ep = ep
+	s.attach(ep)
 	c.usedRemote[remote] = true
 	m.conns = append(m.conns, c)
 	return c, nil
@@ -229,7 +229,7 @@ func (l *Listener) onAccept(ep *tcp.Endpoint, syn *packet.Segment) {
 		return
 	}
 	l.pending = nil
-	s.ep = ep
+	s.attach(ep)
 	conn := s.conn
 	// Replace the default controller with the connection's (coupled) one;
 	// no data has been exchanged yet, so this is safe.

@@ -77,14 +77,10 @@ func (c *Connection) pump() {
 		if size <= 0 {
 			break
 		}
-		data := c.sndBuf.Peek(c.dataNxt, size)
-		if len(data) == 0 {
+		if !c.sendMapping(sf, c.dataNxt, size, nil) {
 			break
 		}
-		if !c.sendMapping(sf, c.dataNxt, data, nil) {
-			break
-		}
-		c.dataNxt += uint64(len(data))
+		c.dataNxt += uint64(size)
 	}
 
 	c.maybeSendDataFin()
@@ -108,13 +104,15 @@ func (c *Connection) schedulerCandidates() ([]sched.Candidate, []*Subflow) {
 	return cands, subs
 }
 
-// sendMapping transmits one chunk of connection-level data on a subflow with
-// its data sequence mapping. When reinject is non-nil this is a
-// retransmission of an existing mapping on a different subflow.
-func (c *Connection) sendMapping(sf *Subflow, dataSeq uint64, data []byte, reinject *txMapping) bool {
+// sendMapping transmits the n bytes of connection-level data at dataSeq on a
+// subflow with their data sequence mapping. The subflow's chunk references
+// the bytes in the connection's send store; nothing is copied here. When
+// reinject is non-nil this is a retransmission of an existing mapping on a
+// different subflow.
+func (c *Connection) sendMapping(sf *Subflow, dataSeq uint64, n int, reinject *txMapping) bool {
 	offset := uint32(sf.ep.QueuedPayloadBytes())
 	// The DSS option comes from (and returns to) the subflow endpoint's free
-	// list: ownership transfers with SendChunkWithOpt and the endpoint
+	// list: ownership transfers with SendChunk and the endpoint
 	// recycles it once the mapping's bytes are fully acknowledged.
 	dss := sf.ep.NewDSSOption()
 	dss.HasDataACK = true
@@ -122,16 +120,18 @@ func (c *Connection) sendMapping(sf *Subflow, dataSeq uint64, data []byte, reinj
 	dss.HasMapping = true
 	dss.DataSeq = c.wireDataSeq(dataSeq)
 	dss.SubflowOffset = offset
-	dss.Length = uint16(len(data))
+	dss.Length = uint16(n)
 	if c.cfg.UseDSSChecksum {
 		dss.HasChecksum = true
-		dss.Checksum = packet.DSSChecksum(dss.DataSeq, offset, dss.Length, data)
+		c.csumPieces = c.sndBuf.Slices(c.csumPieces[:0], dataSeq, n)
+		dss.Checksum = packet.DSSChecksumPieces(dss.DataSeq, offset, dss.Length, c.csumPieces)
+		clear(c.csumPieces)
 	}
-	if !sf.ep.SendChunkWithOpt(data, dss) {
+	if !sf.ep.SendChunk(dataSeq, n, dss) {
 		return false
 	}
 	sf.chunksSent++
-	sf.bytesSent += uint64(len(data))
+	sf.bytesSent += uint64(n)
 	c.stats.MappingsSent++
 	now := c.sim.Now()
 	if reinject == nil {
@@ -144,20 +144,20 @@ func (c *Connection) sendMapping(sf *Subflow, dataSeq uint64, data []byte, reinj
 		}
 		*m = txMapping{
 			dataSeq:     dataSeq,
-			length:      len(data),
+			length:      n,
 			subflow:     sf,
 			sentAt:      now,
-			sfOffsetEnd: uint64(offset) + uint64(len(data)),
+			sfOffsetEnd: uint64(offset) + uint64(n),
 		}
 		c.inflight = append(c.inflight, m)
 	} else {
 		reinject.lastReinject = now
 		reinject.reinjections++
 		sf.reinjectsSent++
-		sf.reinjBytes += uint64(len(data))
+		sf.reinjBytes += uint64(n)
 		c.stats.Reinjections++
 		if c.probe != nil {
-			c.probe.Emit(c.member, probe.KindReinjection, c.connID, int32(sf.id), int64(len(data)), int64(reinject.reinjections))
+			c.probe.Emit(c.member, probe.KindReinjection, c.connID, int32(sf.id), int64(n), int64(reinject.reinjections))
 			c.probe.Count(c.member, probe.CtrReinjections, 1)
 		}
 	}
@@ -194,11 +194,10 @@ func (c *Connection) pumpFallback() {
 		if size <= 0 {
 			break
 		}
-		data := c.sndBuf.Peek(c.dataNxt, size)
-		if len(data) == 0 || !sf.ep.SendChunk(data, nil) {
+		if !sf.ep.SendChunk(c.dataNxt, size, nil) {
 			break
 		}
-		c.dataNxt += uint64(len(data))
+		c.dataNxt += uint64(size)
 	}
 	// In fallback mode the connection close is the plain subflow FIN.
 	if c.dataFinQueued && !c.dataFinSent && c.dataNxt == c.sndBuf.TailOffset() {
@@ -242,11 +241,8 @@ func (c *Connection) onReceiveWindowLimited() {
 			// Rate-limit reinjection of the same mapping to roughly once per
 			// RTT of the fast path.
 			if m.lastReinject == 0 || now-m.lastReinject >= fast.ep.SRTT() {
-				data := c.sndBuf.Peek(m.dataSeq, m.length)
-				if len(data) == m.length {
-					if c.sendMapping(fast, m.dataSeq, data, m) {
-						c.stats.OpportunisticRtx++
-					}
+				if c.unacked(m) && c.sendMapping(fast, m.dataSeq, m.length, m) {
+					c.stats.OpportunisticRtx++
 				}
 			}
 		}
@@ -338,7 +334,7 @@ func (c *Connection) onDataAck(from *Subflow, relAck uint64, windowBytes int) {
 	}
 	if relAck > c.dataUna {
 		c.dataUna = relAck
-		c.sndBuf.TrimTo(minUint64(c.dataUna, c.sndBuf.TailOffset()))
+		c.trimSendStore()
 		freed := 0
 		for freed < len(c.inflight) && c.inflight[freed].end() <= c.dataUna {
 			c.mappingFree = append(c.mappingFree, c.inflight[freed])
@@ -410,8 +406,7 @@ func (c *Connection) onConnRetransmitTimeout() {
 		cands, subs := c.schedulerCandidates()
 		if idx := c.scheduler.Pick(cands, m.length); idx >= 0 {
 			sf := subs[idx]
-			data := c.sndBuf.Peek(m.dataSeq, m.length)
-			if len(data) == m.length && c.sendMapping(sf, m.dataSeq, data, m) {
+			if c.unacked(m) && c.sendMapping(sf, m.dataSeq, m.length, m) {
 				c.stats.ConnLevelRtx++
 			}
 		}
@@ -459,9 +454,8 @@ func (c *Connection) recoverDroppedMappings() {
 	if idx < 0 {
 		return
 	}
-	data := c.sndBuf.Peek(m.dataSeq, m.length)
-	if len(data) == m.length {
-		c.sendMapping(subs[idx], m.dataSeq, data, m)
+	if c.unacked(m) {
+		c.sendMapping(subs[idx], m.dataSeq, m.length, m)
 	}
 }
 
@@ -487,11 +481,48 @@ func (c *Connection) reinjectSubflowData(failed *Subflow) {
 		if sf == failed {
 			continue
 		}
-		data := c.sndBuf.Peek(m.dataSeq, m.length)
-		if len(data) == m.length {
-			c.sendMapping(sf, m.dataSeq, data, m)
+		if c.unacked(m) {
+			c.sendMapping(sf, m.dataSeq, m.length, m)
 		}
 	}
+}
+
+// sendHead returns the logical head of the send store: the first byte not
+// yet DATA_ACKed (capped at the tail, since the DATA_FIN occupies a data
+// sequence number past the last byte). Every accounting figure — sender
+// memory, send-buffer space — is taken from it, not from the store's
+// physical head, which may lag behind (see trimSendStore).
+func (c *Connection) sendHead() uint64 {
+	return minUint64(c.dataUna, c.sndBuf.TailOffset())
+}
+
+// unacked reports whether the whole of mapping m is still held logically
+// (not yet DATA_ACKed), so it may be reinjected.
+func (c *Connection) unacked(m *txMapping) bool {
+	return m.dataSeq >= c.sendHead() && m.end() <= c.sndBuf.TailOffset()
+}
+
+// trimSendStore returns to the pool the send-store blocks that no chunk can
+// read any more. The connection frees memory logically on DATA_ACK (§3.3.5),
+// but a subflow may still have to retransmit bytes that were DATA_ACKed
+// after a reinjection carried them on another subflow, and its DSS checksum
+// covers exactly those bytes. So the physical trim point is the lower of
+// dataUna and the oldest byte any live subflow still references; once the
+// connection is closed, only live subflow references hold bytes.
+func (c *Connection) trimSendStore() {
+	low := c.sndBuf.TailOffset()
+	if !c.closed {
+		low = c.sendHead()
+	}
+	for _, s := range c.subflows {
+		if s.ep == nil {
+			continue
+		}
+		if off, ok := s.ep.OldestPayloadRef(); ok && off < low {
+			low = off
+		}
+	}
+	c.sndBuf.TrimTo(low)
 }
 
 func minUint64(a, b uint64) uint64 {

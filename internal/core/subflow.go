@@ -99,6 +99,13 @@ type Subflow struct {
 	unmappedBytes uint64
 }
 
+// attach binds the subflow to its TCP endpoint, whose chunks reference the
+// connection's send store instead of holding payload of their own.
+func (s *Subflow) attach(ep *tcp.Endpoint) {
+	s.ep = ep
+	ep.AttachSendStore(s.conn.sndBuf)
+}
+
 // Endpoint returns the underlying TCP endpoint.
 func (s *Subflow) Endpoint() *tcp.Endpoint { return s.ep }
 
@@ -568,8 +575,11 @@ func (s *Subflow) OnStateChange(e *tcp.Endpoint, old, new tcp.State) {
 	}
 }
 
-// OnSendSpaceAvailable implements tcp.Hooks.
+// OnSendSpaceAvailable implements tcp.Hooks. It runs after every
+// acknowledgement the subflow processes, so it is also where bytes the
+// subflow just released leave the connection's send store.
 func (s *Subflow) OnSendSpaceAvailable(e *tcp.Endpoint) {
+	s.conn.trimSendStore()
 	s.conn.pump()
 }
 

@@ -109,6 +109,33 @@ func DSSChecksum(dataSeq DataSeq, subflowOffset uint32, length uint16, payload [
 	return FoldChecksum(sum)
 }
 
+// DSSChecksumPieces is DSSChecksum over a payload held in non-contiguous
+// pieces (the blocks of a send store), summed in place without first
+// gathering them. Each piece's partial sum is folded to 16 bits; a piece that
+// starts at an odd payload offset has its bytes in the opposite halves of the
+// 16-bit words, so its folded sum is byte-swapped before it is added
+// (RFC 1071 §2B).
+func DSSChecksumPieces(dataSeq DataSeq, subflowOffset uint32, length uint16, pieces [][]byte) uint16 {
+	var b [16]byte
+	binary.BigEndian.PutUint64(b[0:8], uint64(dataSeq))
+	binary.BigEndian.PutUint32(b[8:12], subflowOffset)
+	binary.BigEndian.PutUint16(b[12:14], length)
+	sum := PartialChecksum(0, b[:])
+	odd := false
+	for _, p := range pieces {
+		s := PartialChecksum(0, p)
+		for s>>16 != 0 {
+			s = (s & 0xffff) + (s >> 16)
+		}
+		if odd {
+			s = (s&0xff)<<8 | s>>8
+		}
+		sum += s
+		odd = odd != (len(p)&1 == 1)
+	}
+	return FoldChecksum(sum)
+}
+
 // VerifyDSSChecksum reports whether the DSS checksum in the option matches
 // the payload it maps. Content-modifying middleboxes (§3.3.6) are detected by
 // a mismatch here.

@@ -96,3 +96,44 @@ func TestTCPChecksumIncludesPseudoHeader(t *testing.T) {
 		t.Fatal("checksum must depend on the pseudo-header addresses")
 	}
 }
+
+// TestDSSChecksumPiecesMatchesContiguous checks the pieces form against the
+// contiguous one for every split point of payloads of odd and even length,
+// for three-way splits with odd-length middles, and for empty pieces.
+func TestDSSChecksumPiecesMatchesContiguous(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, n := range []int{0, 1, 2, 3, 7, 64, 101, 1459, 1460} {
+		data := make([]byte, n)
+		rng.Read(data)
+		seq, off := DataSeq(rng.Uint64()), rng.Uint32()
+		want := DSSChecksum(seq, off, uint16(n), data)
+		for i := 0; i <= n; i++ {
+			if got := DSSChecksumPieces(seq, off, uint16(n), [][]byte{data[:i], data[i:]}); got != want {
+				t.Fatalf("len=%d split=%d: %#04x, contiguous %#04x", n, i, got, want)
+			}
+			j := i + (n-i)/2
+			if got := DSSChecksumPieces(seq, off, uint16(n), [][]byte{data[:i], nil, data[i:j], data[j:]}); got != want {
+				t.Fatalf("len=%d splits=%d,%d: %#04x, contiguous %#04x", n, i, j, got, want)
+			}
+		}
+	}
+}
+
+// TestDSSChecksumPiecesQuick splits random payloads into random pieces.
+func TestDSSChecksumPiecesQuick(t *testing.T) {
+	f := func(seq uint64, off uint32, data []byte, cuts []uint16) bool {
+		var pieces [][]byte
+		rest := data
+		for _, c := range cuts {
+			k := int(c) % (len(rest) + 1)
+			pieces = append(pieces, rest[:k])
+			rest = rest[k:]
+		}
+		pieces = append(pieces, rest)
+		n := uint16(len(data))
+		return DSSChecksumPieces(DataSeq(seq), off, n, pieces) == DSSChecksum(DataSeq(seq), off, n, data)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -50,16 +50,27 @@ type Endpoint struct {
 
 	// chunkFree and dssFree recycle chunk structs and the DSS options
 	// attached to them once their retransmission lifetime ends (fully
-	// acknowledged, popped from the queues). Together with the send-queue
-	// ByteQueue and the segment/payload pools this makes the steady-state
+	// acknowledged, popped from the queues). Together with the block-pooled
+	// send store and the segment/payload pools this makes the steady-state
 	// send path allocation-free.
 	chunkFree []*chunk
 	dssFree   []*packet.DSSOption
 
-	// sndBuf holds the queued payload bytes exactly once; chunks reference
-	// ranges of it (see chunk in tcp.go). Its head is trimmed as the
-	// cumulative acknowledgement advances.
-	sndBuf *buffer.ByteQueue
+	// store holds the payload bytes that chunks reference (see chunk in
+	// tcp.go). A plain TCP endpoint owns it (ownStore), created by the first
+	// Write and trimmed as the cumulative acknowledgement advances. An MPTCP
+	// subflow instead references its connection's send store
+	// (AttachSendStore), with chunk offsets in data sequence space; the
+	// connection trims that store, using OldestPayloadRef to keep whatever
+	// this endpoint may still retransmit.
+	store    *buffer.ByteQueue
+	ownStore bool
+	// lowRefs holds the live chunks whose payload starts below refEnd, the
+	// highest store offset any earlier chunk reached: reinjections of
+	// ranges that went out before. Every other payload chunk lies above all
+	// earlier ones, which is what makes OldestPayloadRef cheap.
+	lowRefs []*chunk
+	refEnd  uint64
 
 	dupAcks       int
 	inRecovery    bool
@@ -140,7 +151,6 @@ func newEndpoint(iface *netem.Interface, local, remote packet.Endpoint, cfg Conf
 		rcvBufMax: cfg.RecvBufBytes,
 		rto:       cfg.InitialRTO,
 		recvOfo:   buffer.NewOfoQueue(buffer.AlgRegular),
-		sndBuf:    buffer.NewByteQueue(0),
 		sndWnd:    cfg.MSS, // until the peer advertises
 	}
 	e.rcvBufActual = e.rcvBufMax
@@ -401,9 +411,16 @@ func (e *Endpoint) effectiveSendBuf() int {
 // ---------------------------------------------------------------------------
 
 // Write queues application data for transmission and returns how many bytes
-// were accepted (bounded by send-buffer space). It never blocks.
+// were accepted (bounded by send-buffer space). It never blocks. Write is for
+// plain TCP: an endpoint attached to an MPTCP send store accepts nothing.
 func (e *Endpoint) Write(data []byte) int {
 	if e.state == StateClosed || e.finQueued || e.err != nil {
+		return 0
+	}
+	if e.store == nil {
+		e.store, e.ownStore = buffer.NewByteQueue(0), true
+	}
+	if !e.ownStore {
 		return 0
 	}
 	space := e.SendBufferSpace()
@@ -415,9 +432,9 @@ func (e *Endpoint) Write(data []byte) int {
 	}
 	mss := e.EffectiveMSS()
 	accepted := len(data)
-	// One copy into the send queue; chunks reference MSS-sized ranges of it.
-	off := e.sndBuf.TailOffset()
-	e.sndBuf.Append(data)
+	// One copy into the send store; chunks reference MSS-sized ranges of it.
+	off := e.store.TailOffset()
+	e.store.Append(data)
 	for n := accepted; n > 0; {
 		l := minInt(mss, n)
 		c := e.newChunk()
@@ -430,56 +447,68 @@ func (e *Endpoint) Write(data []byte) int {
 	return accepted
 }
 
-// admitChunk runs the shared admission test for a pre-segmented chunk and,
-// when the payload is accepted, appends it to the send buffer and returns a
-// fresh chunk referencing it. The buffer-space test deliberately lets a
-// chunk through when both queues are empty so a sender can always make
-// progress (the MPTCP layer sizes chunks to the connection-level window).
-func (e *Endpoint) admitChunk(payload []byte) (*chunk, bool) {
-	if e.state == StateClosed || e.finQueued || e.err != nil {
-		return nil, false
-	}
-	if len(payload) > e.SendBufferSpace() && len(e.sendQueue)+len(e.retransQ) > 0 {
-		return nil, false
-	}
-	off := e.sndBuf.TailOffset()
-	e.sndBuf.Append(payload)
-	c := e.newChunk()
-	c.payOff, c.payLen = off, len(payload)
-	return c, true
+// AttachSendStore makes the endpoint reference payload in q, the send store
+// of the MPTCP connection it is a subflow of, instead of holding its own
+// copy. The owner keeps every byte that chunks queued through SendChunk
+// reference until OldestPayloadRef has moved past it.
+func (e *Endpoint) AttachSendStore(q *buffer.ByteQueue) {
+	e.store, e.ownStore = q, false
 }
 
-// SendChunk queues exactly one pre-segmented chunk of payload with its
-// accompanying options (the MPTCP data path). It returns false if the chunk
-// does not fit the send buffer. Ownership of the option objects transfers to
-// the endpoint: they are recycled once the chunk is fully acknowledged, so
-// callers must not retain them.
-func (e *Endpoint) SendChunk(payload []byte, opts []packet.Option) bool {
-	c, ok := e.admitChunk(payload)
-	if !ok {
-		return false
+// OldestPayloadRef returns the lowest store offset that a live chunk of this
+// endpoint references — bytes it may still (re)transmit — and false when it
+// references none. A closed endpoint references nothing.
+func (e *Endpoint) OldestPayloadRef() (uint64, bool) {
+	if e.state == StateClosed {
+		return 0, false
 	}
-	c.opts = append(c.opts[:0], opts...)
-	c.ownsOpts = len(opts) > 0
-	e.enqueueChunk(c)
-	e.output()
-	return true
+	var low uint64
+	found := false
+	if c := firstPayloadChunk(e.retransQ); c != nil {
+		low, found = c.payOff, true
+	} else if c := firstPayloadChunk(e.sendQueue); c != nil {
+		low, found = c.payOff, true
+	}
+	for _, c := range e.lowRefs {
+		if !found || c.payOff < low {
+			low, found = c.payOff, true
+		}
+	}
+	return low, found
 }
 
-// SendChunkWithOpt is SendChunk for the common single-option case (a data
-// chunk carrying its DSS mapping); it avoids materializing an option slice
-// per chunk. opt may be nil. Ownership of opt transfers to the endpoint in
-// all cases: on success it is recycled when the chunk's retransmission
-// lifetime ends, on failure immediately — callers must not touch the
-// option after the call either way.
-func (e *Endpoint) SendChunkWithOpt(payload []byte, opt packet.Option) bool {
-	c, ok := e.admitChunk(payload)
-	if !ok {
+// firstPayloadChunk returns the first chunk of q that carries payload; only
+// the SYN and FIN chunks carry none, so the scan is short.
+func firstPayloadChunk(q []*chunk) *chunk {
+	for _, c := range q {
+		if c.payLen > 0 {
+			return c
+		}
+	}
+	return nil
+}
+
+// SendChunk queues exactly one pre-segmented chunk: the n bytes at offset off
+// of the attached send store, with an accompanying option (for MPTCP, the
+// chunk's DSS mapping; opt may be nil). Nothing is copied — the chunk refers
+// to the store until it is transmitted. It returns false if the chunk does
+// not fit the send buffer; the test deliberately lets a chunk through when
+// both queues are empty so a sender can always make progress (the MPTCP
+// layer sizes chunks to the connection-level window).
+//
+// Ownership of opt transfers to the endpoint in all cases: on success it is
+// recycled when the chunk's retransmission lifetime ends, on failure
+// immediately — callers must not touch the option after the call either way.
+func (e *Endpoint) SendChunk(off uint64, n int, opt packet.Option) bool {
+	if e.state == StateClosed || e.finQueued || e.err != nil ||
+		(n > e.SendBufferSpace() && len(e.sendQueue)+len(e.retransQ) > 0) {
 		if d, isDSS := opt.(*packet.DSSOption); isDSS {
 			e.recycleDSS(d)
 		}
 		return false
 	}
+	c := e.newChunk()
+	c.payOff, c.payLen = off, n
 	if opt != nil {
 		c.opts = append(c.opts[:0], opt)
 		c.ownsOpts = true
@@ -521,7 +550,7 @@ func (e *Endpoint) Close() {
 	}
 	e.finQueued = true
 	fin := e.newChunk()
-	fin.fin, fin.payOff = true, e.sndBuf.TailOffset()
+	fin.fin = true
 	e.enqueueChunk(fin)
 	e.output()
 }
@@ -575,9 +604,21 @@ func (e *Endpoint) setState(s State) {
 }
 
 func (e *Endpoint) enqueueChunk(c *chunk) {
+	if c.payLen > 0 {
+		if c.payOff < e.refEnd {
+			e.trackLowRef(c)
+		}
+		e.refEnd = max(e.refEnd, c.payOff+uint64(c.payLen))
+	}
 	e.sendQueue = append(e.sendQueue, c)
 	e.queuedBytes += c.payLen
 	e.queuedPayloadTotal += uint64(c.payLen)
+}
+
+// trackLowRef records a chunk that references bytes below an earlier chunk's.
+func (e *Endpoint) trackLowRef(c *chunk) {
+	c.lowRef = true
+	e.lowRefs = append(e.lowRefs, c)
 }
 
 // popChunk removes and returns the head of a chunk queue via the shared
@@ -612,6 +653,16 @@ func (e *Endpoint) newChunk() *chunk {
 // owns go back to their free lists, and the chunk itself is zeroed and
 // retained for reuse. Callers must not touch the chunk afterwards.
 func (e *Endpoint) freeChunk(c *chunk) {
+	if c.lowRef {
+		for i, l := range e.lowRefs {
+			if l == c {
+				last := len(e.lowRefs) - 1
+				e.lowRefs[i], e.lowRefs[last] = e.lowRefs[last], nil
+				e.lowRefs = e.lowRefs[:last]
+				break
+			}
+		}
+	}
 	if c.ownsOpts {
 		for _, o := range c.opts {
 			if d, ok := o.(*packet.DSSOption); ok {
@@ -631,9 +682,9 @@ func (e *Endpoint) freeChunk(c *chunk) {
 
 // NewDSSOption returns a zeroed DSS option from the endpoint's free list.
 // Ownership transfers to the endpoint when the option is attached to a chunk
-// via SendChunkWithOpt; the endpoint recycles it once the chunk's data has
+// via SendChunk; the endpoint recycles it once the chunk's data has
 // been fully acknowledged. Callers must not retain the pointer beyond the
-// SendChunkWithOpt call.
+// SendChunk call.
 func (e *Endpoint) NewDSSOption() *packet.DSSOption {
 	if n := len(e.dssFree); n > 0 {
 		d := e.dssFree[n-1]
@@ -666,6 +717,10 @@ func (e *Endpoint) teardown(err error) {
 		e.timeWaitTimer.Stop()
 	}
 	e.host.Unregister(e.local, e.remote)
+	if e.ownStore {
+		// Nothing can be sent any more: hand the payload blocks back.
+		e.store.Reset(e.store.TailOffset())
+	}
 	e.setState(StateClosed)
 	if e.OnClosed != nil {
 		cb := e.OnClosed

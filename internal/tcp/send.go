@@ -1,6 +1,7 @@
 package tcp
 
 import (
+	"fmt"
 	"time"
 
 	"mptcpgo/internal/buffer"
@@ -115,9 +116,9 @@ func (e *Endpoint) processSYNOptions(seg *packet.Segment) {
 }
 
 // transmitChunk emits one chunk (first transmission or retransmission). The
-// segment payload is copied out of the send queue into a pool-owned buffer —
-// the one copy the "payload never shared" invariant requires, recycled when
-// the segment reaches its sink.
+// segment payload is copied out of the send store's blocks into a pool-owned
+// buffer — the one copy the "payload never shared" invariant requires,
+// recycled when the segment reaches its sink.
 func (e *Endpoint) transmitChunk(c *chunk, retransmission bool) {
 	flags := packet.Flags(0)
 	opts := c.opts
@@ -134,7 +135,9 @@ func (e *Endpoint) transmitChunk(c *chunk, retransmission bool) {
 	seg := e.makeSegment(flags, c.seq, nil, opts)
 	if c.payLen > 0 {
 		buf := pool.Bytes(c.payLen)
-		copy(buf, e.sndBuf.Peek(c.payOff, c.payLen))
+		if e.store.CopyTo(buf, c.payOff) != c.payLen {
+			panic(fmt.Sprintf("%v: send store lost bytes [%d,+%d) of a live chunk", e, c.payOff, c.payLen))
+		}
 		seg.AttachPayload(buf)
 	}
 	c.sentAt = e.sim.Now()
@@ -314,7 +317,9 @@ func (e *Endpoint) onAckAdvance(ack packet.SeqNum, tsSample time.Duration) {
 				}
 			}
 			e.queuedBytes -= c.payLen
-			e.sndBuf.TrimTo(c.payOff + uint64(c.payLen))
+			if e.ownStore {
+				e.store.TrimTo(c.payOff + uint64(c.payLen))
+			}
 			// The chunk's retransmission lifetime is over: nothing else
 			// references it (segments carry arena copies of its options), so
 			// it and its DSS options go back to the free lists. Its queue
@@ -333,7 +338,9 @@ func (e *Endpoint) onAckAdvance(ack packet.SeqNum, tsSample time.Duration) {
 			c.payLen -= trim
 			c.seq = ack
 			e.queuedBytes -= trim
-			e.sndBuf.TrimTo(c.payOff)
+			if e.ownStore {
+				e.store.TrimTo(c.payOff)
+			}
 		}
 		break
 	}
@@ -542,6 +549,9 @@ func (e *Endpoint) onPersist() {
 		probe := e.newChunk()
 		probe.payOff, probe.payLen = c.payOff, 1
 		probe.opts = append(probe.opts[:0], c.opts...)
+		if c.lowRef {
+			e.trackLowRef(probe)
+		}
 		c.payOff++
 		c.payLen--
 		probe.seq = e.sndNxt

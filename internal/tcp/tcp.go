@@ -273,13 +273,14 @@ func (NopHooks) AdvertiseWindow(*Endpoint) (int, bool) { return 0, false }
 // machinery handles them uniformly.
 //
 // A chunk does not hold payload bytes itself: it references the half-open
-// range [payOff, payOff+payLen) of the endpoint's send ByteQueue (sndBuf).
-// The bytes live exactly once on the sender — retransmissions copy them out
-// of the queue into a fresh pool-owned segment payload, instead of the old
-// scheme of one deep copy per chunk plus one per (re)transmission.
+// range [payOff, payOff+payLen) of the endpoint's send store (see store in
+// Endpoint). The bytes live exactly once on the sender — for an MPTCP subflow
+// in the connection's store, shared by every subflow — and each
+// (re)transmission copies them straight into a fresh pool-owned segment
+// payload.
 type chunk struct {
 	seq    packet.SeqNum
-	payOff uint64 // absolute sndBuf offset of the chunk's first payload byte
+	payOff uint64 // absolute store offset of the chunk's first payload byte
 	payLen int    // payload length in bytes
 	opts   []packet.Option
 	syn    bool
@@ -294,6 +295,8 @@ type chunk struct {
 	// option into the segment's own arena — so recycling here cannot corrupt
 	// in-flight traffic.
 	ownsOpts bool
+	// lowRef marks a chunk listed in the endpoint's lowRefs.
+	lowRef bool
 
 	sentAt        time.Duration
 	transmissions int

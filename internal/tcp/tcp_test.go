@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"mptcpgo/internal/buffer"
 	"mptcpgo/internal/netem"
 	"mptcpgo/internal/packet"
 	"mptcpgo/internal/sim"
@@ -193,4 +194,57 @@ func TestRTTEstimate(t *testing.T) {
 	// sane band.
 	// (Validated indirectly through completion; direct SRTT access tested in
 	// endpoint_more_test.go.)
+}
+
+// TestSharedStoreOldestPayloadRef drives an endpoint attached to an external
+// send store the way an MPTCP subflow is driven, with a reinjection-style
+// chunk that references bytes below those of a chunk queued before it. The
+// endpoint must report the lowest referenced offset while any chunk is live,
+// nothing once all are acknowledged, and send exactly the referenced bytes.
+func TestSharedStoreOldestPayloadRef(t *testing.T) {
+	n := testNet(t, netem.LinkConfig{RateBps: netem.Mbps(10), Delay: 5 * time.Millisecond})
+	var got []byte
+	if _, err := Listen(n.Server, 80, Config{}, func(ep *Endpoint, _ *packet.Segment) {
+		ep.OnReadable = func() { got = append(got, ep.Read(64<<10)...) }
+	}); err != nil {
+		t.Fatal(err)
+	}
+	client, err := Dial(n.Client.Interfaces()[0], packet.Endpoint{Addr: n.ServerAddr(0), Port: 80}, Config{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const mss = 1000
+	store := buffer.NewByteQueue(0)
+	data := make([]byte, 10*mss)
+	for i := range data {
+		data[i] = byte(i*13 + i>>8)
+	}
+	store.Append(data)
+	client.AttachSendStore(store)
+	if err := n.Sim.RunUntil(100 * time.Millisecond); err != nil || !client.IsEstablished() {
+		t.Fatalf("not established: %v", err)
+	}
+	if _, ok := client.OldestPayloadRef(); ok {
+		t.Fatal("an endpoint without chunks references nothing")
+	}
+	n.Paths[0].SetDown(true) // keep every chunk unacknowledged
+	for _, off := range []uint64{5 * mss, 0, 8 * mss} {
+		if !client.SendChunk(off, mss, nil) {
+			t.Fatalf("chunk at %d rejected", off)
+		}
+	}
+	if off, ok := client.OldestPayloadRef(); !ok || off != 0 {
+		t.Fatalf("OldestPayloadRef = %d, %v; want 0 (the chunk queued below an earlier one)", off, ok)
+	}
+	n.Paths[0].SetDown(false)
+	if err := n.Sim.RunUntil(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if off, ok := client.OldestPayloadRef(); ok {
+		t.Fatalf("all chunks acknowledged, but OldestPayloadRef = %d", off)
+	}
+	want := append(append(append([]byte(nil), data[5*mss:6*mss]...), data[:mss]...), data[8*mss:9*mss]...)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("server received %d bytes, want the %d referenced ones in chunk order", len(got), len(want))
+	}
 }
