@@ -77,9 +77,10 @@ func TestOfoQueueSteadyStateNoAllocs(t *testing.T) {
 			// 0's fills it; the drain returns both.
 			q.Insert(buffer.Item{Seq: next + 1460, Data: payload, Subflow: 1})
 			q.Insert(buffer.Item{Seq: next, Data: payload, Subflow: 0})
-			for _, it := range q.PopContiguous(next) {
+			run, _ := q.PopContiguous(next)
+			for _, it := range run {
 				next = it.End()
-				pool.Recycle(it.Data)
+				pool.Recycle(it.Buf)
 			}
 			if q.Len() != 0 {
 				t.Fatalf("%s: queue not drained (%d items left)", q.Name(), q.Len())
@@ -418,6 +419,131 @@ func TestSendStoreReleasedAtTeardown(t *testing.T) {
 			t.Fatalf("abort=%v: %d blocks held, only %d buffers went back to the pool", abort, held, returned)
 		}
 	}
+}
+
+// receivingConn establishes a two-subflow connection over two paths (2 ms
+// and 30 ms one way), then transfers size bytes into a server that leaves
+// data unread, and returns once the
+// server holds unread bytes. Without loss the server reads nothing and the
+// function returns when all size bytes wait unread (the client has closed
+// by then). With 1% loss on both paths the server reads down to 32 KiB,
+// and the function returns at a moment when the connection's and a
+// subflow's out-of-order queues are both nonempty too.
+func receivingConn(t *testing.T, lossy bool, size int) (cli, srv *core.Connection, s *sim.Simulator) {
+	t.Helper()
+	s = sim.New(5)
+	loss := 0.0
+	if lossy {
+		loss = 0.01
+	}
+	net := netem.Build(s,
+		netem.Symmetric("near", netem.Mbps(100), 2*time.Millisecond, 0, loss),
+		netem.Symmetric("far", netem.Mbps(20), 30*time.Millisecond, 0, loss))
+	cfg := core.DefaultConfig()
+	if _, err := core.NewManager(net.Server).Listen(80, cfg, func(c *core.Connection) {
+		srv = c
+		if lossy {
+			// Read down to 32 KiB, leaving the rest unread, so the window
+			// stays open and the transfer keeps reordering.
+			buf := make([]byte, 4096)
+			c.OnReadable = func() {
+				for c.ReadableBytes() > 32<<10 {
+					c.ReadInto(buf)
+				}
+			}
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	cli, err := core.NewManager(net.Client).Dial(net.Client.Interfaces()[0], packet.Endpoint{Addr: net.ServerAddr(0), Port: 80}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RunUntil(500 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if !cli.Established() || len(cli.Subflows()) != 2 {
+		t.Fatalf("connection not up: established=%v subflows=%d", cli.Established(), len(cli.Subflows()))
+	}
+	payload := pattern(0, size)
+	written := 0
+	ready := func() bool {
+		if srv == nil || srv.ReadableBytes() == 0 {
+			return false
+		}
+		if !lossy {
+			return srv.ReadableBytes() == size
+		}
+		subflowOfo := 0
+		for _, sf := range srv.Subflows() {
+			subflowOfo += sf.Endpoint().ReceiveQueuedBytes()
+		}
+		return subflowOfo > 0 && srv.ReceiverMemory() > srv.ReadableBytes()+subflowOfo
+	}
+	for !ready() {
+		if written < size {
+			written += cli.Write(payload[written:])
+			if written == size && !lossy {
+				cli.Close()
+			}
+		}
+		if !s.Step() {
+			t.Fatal("simulation ran dry before the receive queues filled")
+		}
+	}
+	return cli, srv, s
+}
+
+// TestReceiveStoreReleasedAtTeardown checks what a connection's receive
+// side does with its pool buffers at teardown. An abort with unread
+// in-order data and a nonempty connection-level and subflow-level
+// out-of-order queue returns every buffer. After a graceful close the
+// unread bytes stay readable, and reading them returns the buffers.
+func TestReceiveStoreReleasedAtTeardown(t *testing.T) {
+	t.Run("abort", func(t *testing.T) {
+		_, srv, _ := receivingConn(t, true, 4<<20)
+		held := srv.ReceiveStoreBuffers()
+		before := pool.Stats()
+		srv.Abort()
+		if n := srv.ReceiveStoreBuffers(); n != 0 || srv.ReceiverMemory() != 0 {
+			t.Fatalf("after abort the receive side holds %d buffers, %d bytes", n, srv.ReceiverMemory())
+		}
+		after := pool.Stats()
+		if returned := (after.Puts - before.Puts) + (after.Drops - before.Drops); returned < uint64(held) {
+			t.Fatalf("%d receive buffers held, only %d went back to the pool", held, returned)
+		}
+	})
+	t.Run("graceful", func(t *testing.T) {
+		const size = 200 << 10
+		_, srv, s := receivingConn(t, false, size)
+		srv.Close()
+		if err := s.RunUntil(s.Now() + 10*time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if !srv.Closed() || srv.Err() != nil {
+			t.Fatalf("want a gracefully closed connection (closed=%v err=%v)", srv.Closed(), srv.Err())
+		}
+		held := srv.ReceiveStoreBuffers()
+		if srv.ReadableBytes() != size || held == 0 {
+			t.Fatalf("after a graceful close %d of %d bytes are readable in %d buffers", srv.ReadableBytes(), size, held)
+		}
+		before := pool.Stats()
+		got := make([]byte, 0, size)
+		buf := make([]byte, 4096)
+		for n := srv.ReadInto(buf); n > 0; n = srv.ReadInto(buf) {
+			got = append(got, buf[:n]...)
+		}
+		if !bytes.Equal(got, pattern(0, size)) {
+			t.Fatal("bytes read after the close differ from those written")
+		}
+		after := pool.Stats()
+		if n := srv.ReceiveStoreBuffers(); n != 0 {
+			t.Fatalf("%d buffers still held after reading everything", n)
+		}
+		if returned := (after.Puts - before.Puts) + (after.Drops - before.Drops); returned < uint64(held) {
+			t.Fatalf("%d receive buffers held, only %d went back to the pool", held, returned)
+		}
+	})
 }
 
 // retransmitTap is a middlebox on both paths of a two-path connection. Until

@@ -180,9 +180,10 @@ func benchmarkOfo(b *testing.B, alg buffer.Algorithm, subflows int) {
 		var next uint64
 		for _, it := range items {
 			q.Insert(it)
-			for _, out := range q.PopContiguous(next) {
+			run, _ := q.PopContiguous(next)
+			for _, out := range run {
 				next = out.End()
-				pool.Recycle(out.Data) // popped items transfer ownership
+				pool.Recycle(out.Buf) // popped items transfer ownership
 			}
 		}
 		steps = q.Steps()

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"mptcpgo/internal/pool"
 )
 
 func TestByteQueueBasics(t *testing.T) {
@@ -17,7 +19,7 @@ func TestByteQueueBasics(t *testing.T) {
 	if got := q.Peek(106, 5); string(got) != "world" {
 		t.Fatalf("Peek = %q", got)
 	}
-	if got := q.Pop(6); string(got) != "hello " {
+	if got := pop(q, 6); string(got) != "hello " {
 		t.Fatalf("Pop = %q", got)
 	}
 	if q.HeadOffset() != 106 {
@@ -65,7 +67,7 @@ func streamModel(t *testing.T, alg Algorithm, segments int, seed int64) {
 	q := NewOfoQueue(alg)
 	var out []byte
 	var next uint64
-	deliver := func(its []Item) {
+	deliver := func(its []Item, _ []Drop) {
 		for _, it := range its {
 			out = append(out, it.Data...)
 			next = it.End()
@@ -108,7 +110,7 @@ func TestOfoQueueDuplicatesAndOverlaps(t *testing.T) {
 		if q.Bytes() > 75 {
 			t.Fatalf("%s: overlapping inserts should not double-count bytes, got %d", alg, q.Bytes())
 		}
-		out := q.PopContiguous(100)
+		out, _ := q.PopContiguous(100)
 		var n int
 		for _, it := range out {
 			n += len(it.Data)
@@ -168,7 +170,8 @@ func TestOfoQueueEquivalenceQuick(t *testing.T) {
 				} else {
 					q.Insert(it)
 				}
-				for _, d := range q.PopContiguous(next) {
+				run, _ := q.PopContiguous(next)
+				for _, d := range run {
 					out = append(out, d.Data...)
 					next = d.End()
 				}
@@ -209,6 +212,66 @@ func TestAlgorithmNames(t *testing.T) {
 	for alg, name := range want {
 		if alg.String() != name || NewOfoQueue(alg).Name() != name {
 			t.Errorf("algorithm %d name mismatch", alg)
+		}
+	}
+}
+
+// TestOfoQueueReportsStoredAndDropped checks the byte accounting every queue
+// reports: what Insert stored, minus what PopContiguous returned and
+// dropped, is always what the queue holds — through exact duplicates,
+// overlaps, items overtaken by the delivery point and a Reset — and every
+// buffer, front-trimmed or not, goes back to the pool whole.
+func TestOfoQueueReportsStoredAndDropped(t *testing.T) {
+	for _, alg := range Algorithms() {
+		before := pool.Stats()
+		q := NewOfoQueue(alg)
+		held := 0
+		insert := func(seq uint64, n int, handed bool, want int) {
+			t.Helper()
+			it := Item{Seq: seq, Data: pattern(seq, n), Subflow: int(seq % 3)}
+			if handed {
+				it.Data, it.Buf = handOver(it.Data, 0)
+			}
+			if _, stored := q.Insert(it); stored != want {
+				t.Fatalf("%s: Insert(%d,+%d) stored %d, want %d", alg, seq, n, stored, want)
+			}
+			held += want
+			if q.Bytes() != held {
+				t.Fatalf("%s: queue holds %d bytes, accounting says %d", alg, q.Bytes(), held)
+			}
+		}
+		insert(100, 50, true, 50)
+		insert(100, 50, true, 0)  // exact duplicate, handed over
+		insert(110, 20, false, 0) // inside a queued item
+		insert(125, 50, true, 25) // overlaps the tail of [100,150)
+		insert(300, 10, false, 10)
+		insert(305, 20, true, 15) // front-trimmed, left for Reset
+		insert(400, 10, true, 10)
+		run, dropped := q.PopContiguous(120) // drops [100,120), returns [120,175)
+		out, gone := 0, 0
+		for _, it := range run {
+			if !bytes.Equal(it.Data, pattern(it.Seq, len(it.Data))) {
+				t.Fatalf("%s: item at %d carries the wrong bytes", alg, it.Seq)
+			}
+			out += len(it.Data)
+			pool.Recycle(it.Buf)
+		}
+		for _, d := range dropped {
+			gone += d.Bytes
+		}
+		if out != 55 || gone != 20 || q.Bytes() != held-out-gone {
+			t.Fatalf("%s: popped %d and dropped %d bytes, queue holds %d of %d", alg, out, gone, q.Bytes(), held)
+		}
+		q.Reset()
+		if q.Len() != 0 || q.Bytes() != 0 {
+			t.Fatalf("%s: reset queue holds %d items, %d bytes", alg, q.Len(), q.Bytes())
+		}
+		if b := poolBalance(before); b != 0 {
+			t.Fatalf("%s: %d pool buffers not returned", alg, b)
+		}
+		// The front-trimmed items went back whole, not to the GC.
+		if d := pool.Stats().Drops - before.Drops; d != 0 {
+			t.Fatalf("%s: the pool dropped %d recycled buffers", alg, d)
 		}
 	}
 }

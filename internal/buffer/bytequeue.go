@@ -17,9 +17,9 @@ const (
 )
 
 // ByteQueue is a FIFO byte stream with an absolute offset for its head. It
-// backs the MPTCP connection's send store (offsets are data sequence
-// numbers), a plain TCP endpoint's send queue (offsets count payload bytes
-// from the first one) and the in-order receive queues.
+// is the send store: the MPTCP connection's (offsets are data sequence
+// numbers) and a plain TCP endpoint's (offsets count payload bytes from the
+// first one). The receive side uses RecvQueue.
 //
 // Bytes live in fixed-size blocks taken from internal/pool: Append fills the
 // tail block and takes a fresh one when it is full, and the head block goes
@@ -151,16 +151,6 @@ func (q *ByteQueue) Peek(off uint64, n int) []byte {
 	}
 	out := make([]byte, n)
 	q.CopyTo(out, off)
-	return out
-}
-
-// Pop removes and returns up to n bytes from the head of the queue. The
-// returned slice is freshly allocated; zero-allocation consumers use CopyTo
-// + TrimTo instead.
-func (q *ByteQueue) Pop(n int) []byte {
-	out := make([]byte, min(n, q.n))
-	q.CopyTo(out, q.headOffset)
-	q.discard(len(out))
 	return out
 }
 

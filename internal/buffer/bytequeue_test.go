@@ -19,6 +19,15 @@ func pattern(off uint64, n int) []byte {
 	return b
 }
 
+// pop removes and returns up to n bytes from the head of q, the way a
+// consumer reads the store: CopyTo, then TrimTo.
+func pop(q *ByteQueue, n int) []byte {
+	out := make([]byte, min(n, q.Len()))
+	q.CopyTo(out, q.HeadOffset())
+	q.TrimTo(q.HeadOffset() + uint64(len(out)))
+	return out
+}
+
 // poolBalance returns how many pool buffers have been taken but not handed
 // back since the given snapshot (Recycle calls that the pool dropped count
 // as handed back: the queue released them).
@@ -82,7 +91,7 @@ func TestByteQueueTrimMidBlockAndReset(t *testing.T) {
 	if q.Blocks() != 4 {
 		t.Fatalf("blocks=%d, want 4", q.Blocks())
 	}
-	got := q.Pop(blockSize)
+	got := pop(q, blockSize)
 	if !bytes.Equal(got, data[blockSize+300:2*blockSize+300]) {
 		t.Fatal("Pop across a block edge returned wrong bytes")
 	}

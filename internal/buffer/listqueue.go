@@ -27,18 +27,21 @@ type listQueue struct {
 	useShortcuts bool
 	useBatches   bool
 
+	// hints is created by the first insert that records one: most queues
+	// never see a reordered segment, and Regular never records any.
 	hints map[int]listHint
 
 	count int
 	bytes int
 	steps uint64
 
-	// freeNodes/freeBatches recycle structs; popScratch is the reused
-	// PopContiguous result slice. All three are queue-local: queues belong to
-	// one endpoint on one simulator, so no locking is needed.
+	// freeNodes/freeBatches recycle structs; popScratch and dropScratch are
+	// the reused PopContiguous result slices. All are queue-local: queues
+	// belong to one endpoint on one simulator, so no locking is needed.
 	freeNodes   []*listNode
 	freeBatches []*batchNode
 	popScratch  []Item
+	dropScratch []Drop
 }
 
 type listNode struct {
@@ -63,11 +66,7 @@ type listHint struct {
 }
 
 func newListQueue(shortcuts, batches bool) *listQueue {
-	return &listQueue{
-		useShortcuts: shortcuts,
-		useBatches:   batches,
-		hints:        make(map[int]listHint),
-	}
+	return &listQueue{useShortcuts: shortcuts, useBatches: batches}
 }
 
 // Name implements OfoQueue.
@@ -123,13 +122,13 @@ func (q *listQueue) newBatch(first, last *listNode) *batchNode {
 }
 
 // Insert implements OfoQueue.
-func (q *listQueue) Insert(it Item) int {
-	steps := q.insert(it)
+func (q *listQueue) Insert(it Item) (steps, stored int) {
+	steps, stored = q.insert(it)
 	q.steps += uint64(steps)
-	return steps
+	return steps, stored
 }
 
-func (q *listQueue) insert(it Item) (steps int) {
+func (q *listQueue) insert(it Item) (steps, stored int) {
 	// 1. Locate the node after which the item belongs (nil = before head).
 	var after *listNode
 	located := false
@@ -156,7 +155,8 @@ func (q *listQueue) insert(it Item) (steps int) {
 	// 2. Trim overlap with neighbours.
 	if after != nil && after.it.End() > it.Seq {
 		if !trimItem(&it, after.it.End()) {
-			return steps
+			discardItemData(&it)
+			return steps, 0
 		}
 	}
 	next := q.head
@@ -166,22 +166,26 @@ func (q *listQueue) insert(it Item) (steps int) {
 	if next != nil && it.End() > next.it.Seq {
 		keep := next.it.Seq - it.Seq
 		if keep == 0 {
-			return steps
+			discardItemData(&it)
+			return steps, 0
 		}
 		it.Data = it.Data[:keep]
 	}
 
-	// 3. Splice in the new node, adopting a pool-owned copy of the payload.
+	// 3. Splice in the new node, adopting the payload buffer.
 	adoptItemData(&it)
 	n := q.newNode(it)
 	q.insertAfter(after, n)
 	q.count++
 	q.bytes += len(it.Data)
 	if q.useShortcuts {
+		if q.hints == nil {
+			q.hints = make(map[int]listHint)
+		}
 		q.hints[it.Subflow] = listHint{n: n, gen: n.gen}
 	}
 	q.attachBatch(n)
-	return steps
+	return steps, len(it.Data)
 }
 
 // locateLinear walks the node list from the head.
@@ -365,30 +369,25 @@ func (q *listQueue) removeNode(n *listNode) {
 	q.recycleNode(n)
 }
 
-// PopContiguous implements OfoQueue. The returned slice is reused by the
+// PopContiguous implements OfoQueue. The returned slices are reused by the
 // next PopContiguous call on this queue.
-func (q *listQueue) PopContiguous(nextSeq uint64) []Item {
-	out := q.popScratch[:0]
-	for q.head != nil {
+func (q *listQueue) PopContiguous(nextSeq uint64) ([]Item, []Drop) {
+	run, drops := q.popScratch[:0], q.dropScratch[:0]
+	for q.head != nil && q.head.it.Seq <= nextSeq {
 		n := q.head
-		if n.it.End() <= nextSeq {
-			it := n.it
-			q.removeNode(n)
-			discardItemData(&it)
-			continue
-		}
-		if n.it.Seq > nextSeq {
-			break
-		}
 		it := n.it
 		q.removeNode(n)
-		if !trimItem(&it, nextSeq) {
-			discardItemData(&it)
-			continue
-		}
-		out = append(out, it)
-		nextSeq = it.End()
+		run, drops, nextSeq = popItem(it, nextSeq, run, drops)
 	}
-	q.popScratch = out
-	return out
+	q.popScratch, q.dropScratch = run, drops
+	return run, drops
+}
+
+// Reset implements OfoQueue.
+func (q *listQueue) Reset() {
+	for q.head != nil {
+		it := q.head.it
+		q.removeNode(q.head)
+		discardItemData(&it)
+	}
 }

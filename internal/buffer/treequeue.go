@@ -15,8 +15,9 @@ type treeQueue struct {
 	// prioState drives the deterministic priority sequence.
 	prioState uint64
 
-	freeNodes  []*treeNode
-	popScratch []Item
+	freeNodes   []*treeNode
+	popScratch  []Item
+	dropScratch []Drop
 }
 
 type treeNode struct {
@@ -51,22 +52,22 @@ func (q *treeQueue) nextPrio() uint64 {
 }
 
 // Insert implements OfoQueue.
-func (q *treeQueue) Insert(it Item) int {
-	steps := 0
-
+func (q *treeQueue) Insert(it Item) (steps, stored int) {
 	// Trim against the predecessor and successor so stored items never
 	// overlap; this mirrors the trimming the list-based queues perform.
 	if pred := q.floor(it.Seq, &steps); pred != nil && pred.it.End() > it.Seq {
 		if !trimItem(&it, pred.it.End()) {
+			discardItemData(&it)
 			q.steps += uint64(steps)
-			return steps
+			return steps, 0
 		}
 	}
 	if succ := q.ceiling(it.Seq, &steps); succ != nil && it.End() > succ.it.Seq {
 		keep := succ.it.Seq - it.Seq
 		if keep == 0 {
+			discardItemData(&it)
 			q.steps += uint64(steps)
-			return steps
+			return steps, 0
 		}
 		it.Data = it.Data[:keep]
 	}
@@ -76,7 +77,7 @@ func (q *treeQueue) Insert(it Item) int {
 	q.count++
 	q.bytes += len(it.Data)
 	q.steps += uint64(steps)
-	return steps
+	return steps, len(it.Data)
 }
 
 // newNode takes a node from the free list (or allocates one) and loads it.
@@ -195,37 +196,27 @@ func (q *treeQueue) peekMin() *treeNode {
 	return n
 }
 
-// PopContiguous implements OfoQueue. The returned slice is reused by the
+// PopContiguous implements OfoQueue. The returned slices are reused by the
 // next PopContiguous call on this queue.
-func (q *treeQueue) PopContiguous(nextSeq uint64) []Item {
-	out := q.popScratch[:0]
-	for {
-		min := q.peekMin()
-		if min == nil {
-			break
-		}
-		if min.it.End() <= nextSeq {
-			// Pop (with the item still attached, so byte accounting sees its
-			// length), then recycle buffer and node.
-			n := q.popMin()
-			it := n.it
-			q.recycleNode(n)
-			discardItemData(&it)
-			continue
-		}
-		if min.it.Seq > nextSeq {
-			break
-		}
+func (q *treeQueue) PopContiguous(nextSeq uint64) ([]Item, []Drop) {
+	run, drops := q.popScratch[:0], q.dropScratch[:0]
+	for min := q.peekMin(); min != nil && min.it.Seq <= nextSeq; min = q.peekMin() {
+		// Pop (with the item still attached, so byte accounting sees its
+		// length), then recycle the node.
 		n := q.popMin()
 		it := n.it
 		q.recycleNode(n)
-		if !trimItem(&it, nextSeq) {
-			discardItemData(&it)
-			continue
-		}
-		out = append(out, it)
-		nextSeq = it.End()
+		run, drops, nextSeq = popItem(it, nextSeq, run, drops)
 	}
-	q.popScratch = out
-	return out
+	q.popScratch, q.dropScratch = run, drops
+	return run, drops
+}
+
+// Reset implements OfoQueue.
+func (q *treeQueue) Reset() {
+	for n := q.popMin(); n != nil; n = q.popMin() {
+		it := n.it
+		q.recycleNode(n)
+		discardItemData(&it)
+	}
 }

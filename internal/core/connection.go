@@ -63,6 +63,9 @@ type Connection struct {
 	sim *sim.Simulator
 
 	isClient bool
+	// mgrSlot is the connection's index in mgr.conns (an int32, so that it
+	// fits in isClient's padding).
+	mgrSlot int32
 
 	localKey    Key
 	remoteKey   Key
@@ -133,9 +136,8 @@ type Connection struct {
 	pumping       bool
 
 	// ---- data-level receive state ----
-	rcvBuf           *buffer.ByteQueue
+	rcvBuf           buffer.RecvQueue
 	ofo              buffer.OfoQueue
-	ofoBySubflow     map[int]int
 	dataRcvNxt       uint64
 	remoteDataFin    bool
 	remoteDataFinSeq uint64
@@ -157,18 +159,16 @@ type Connection struct {
 func newConnection(mgr *Manager, cfg Config, isClient bool) *Connection {
 	cfg = cfg.withDefaults()
 	c := &Connection{
-		mgr:          mgr,
-		cfg:          cfg,
-		sim:          mgr.host.Sim(),
-		isClient:     isClient,
-		scheduler:    sched.New(cfg.Scheduler),
-		ccGroup:      cc.NewCoupledGroup(),
-		sndBuf:       buffer.NewByteQueue(0),
-		rcvBuf:       buffer.NewByteQueue(0),
-		ofo:          buffer.NewOfoQueue(cfg.OfoAlgorithm),
-		ofoBySubflow: make(map[int]int),
-		usedRemote:   make(map[packet.Endpoint]bool),
-		rwndLimit:    64 << 10,
+		mgr:        mgr,
+		cfg:        cfg,
+		sim:        mgr.host.Sim(),
+		isClient:   isClient,
+		scheduler:  sched.New(cfg.Scheduler),
+		ccGroup:    cc.NewCoupledGroup(),
+		sndBuf:     buffer.NewByteQueue(0),
+		ofo:        buffer.NewOfoQueue(cfg.OfoAlgorithm),
+		usedRemote: make(map[packet.Endpoint]bool),
+		rwndLimit:  64 << 10,
 	}
 	if isClient && mgr.probeRec != nil {
 		c.probe = mgr.probeRec
@@ -238,6 +238,19 @@ func (c *Connection) ReceiverMemory() int {
 	n := c.rcvBuf.Len() + c.ofo.Bytes()
 	for _, s := range c.subflows {
 		n += s.ep.ReceiveQueuedBytes()
+	}
+	return n
+}
+
+// ReceiveStoreBuffers returns how many pool buffers the connection's receive
+// side holds — its receive and reassembly queues and its subflows' — the
+// resident counterpart of ReceiverMemory.
+func (c *Connection) ReceiveStoreBuffers() int {
+	n := c.rcvBuf.Buffers() + c.ofo.Len()
+	for _, s := range c.subflows {
+		if s.ep != nil {
+			n += s.ep.ReceiveBuffers()
+		}
 	}
 	return n
 }
@@ -352,9 +365,7 @@ func (c *Connection) ReadInto(p []byte) int {
 		return 0
 	}
 	before := c.receiveWindowWouldBe()
-	head := c.rcvBuf.HeadOffset()
-	n := c.rcvBuf.CopyTo(p, head)
-	c.rcvBuf.TrimTo(head + uint64(n))
+	n := c.rcvBuf.Read(p)
 	c.stats.BytesDelivered += uint64(n)
 	// Window update: if reading freed a meaningful amount of the shared
 	// buffer, tell the peer so a stalled sender can resume.
@@ -394,14 +405,13 @@ func (c *Connection) Close() {
 	c.pump()
 }
 
-// Abort terminates the connection immediately: every subflow is reset.
+// Abort terminates the connection immediately: every subflow is reset and
+// unread data is discarded.
 func (c *Connection) Abort() {
 	if c.closed {
 		return
 	}
-	for _, s := range c.subflows {
-		s.ep.SendReset()
-	}
+	c.resetAll()
 	c.finish(ErrAborted)
 }
 
@@ -409,10 +419,19 @@ func (c *Connection) abortFromPeer() {
 	if c.closed {
 		return
 	}
+	c.resetAll()
+	c.finish(ErrReset)
+}
+
+// resetAll discards the unread in-order data and resets every subflow. The
+// receive queue is emptied here rather than left to finish: the last
+// subflow's reset can already finish the connection as if it had closed
+// gracefully.
+func (c *Connection) resetAll() {
+	c.rcvBuf.Reset()
 	for _, s := range c.subflows {
 		s.ep.SendReset()
 	}
-	c.finish(ErrReset)
 }
 
 // ErrReset mirrors the subflow-level reset error at the connection level.
@@ -938,6 +957,15 @@ func (c *Connection) finish(err error) {
 	c.err = err
 	c.connRtx.Stop()
 	c.trimSendStore()
+	// Nothing more can be reassembled. Unread in-order bytes stay readable
+	// after a graceful close; an abort or reset discards them.
+	c.ofo.Reset()
+	for _, s := range c.subflows {
+		s.ofoBytes = 0
+	}
+	if err != nil {
+		c.rcvBuf.Reset()
+	}
 	c.mgr.removeConnection(c)
 	if c.OnClosed != nil {
 		cb := c.OnClosed

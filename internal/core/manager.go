@@ -15,7 +15,12 @@ import (
 type Manager struct {
 	host   *netem.Host
 	tokens *TokenTable
-	conns  []*Connection
+	// conns lists the tracked connections in the order they were added.
+	// A removed connection leaves a nil slot (each connection knows its
+	// slot, so removal is O(1)); the slice is compacted, order kept, once
+	// more than half of it is empty and whenever Connections is called.
+	conns []*Connection
+	holes int
 
 	// probeRec, when non-nil, records flight-recorder events for this
 	// host's connections under global member index probeMember. Connection
@@ -51,14 +56,17 @@ func (m *Manager) Probe() (*probe.Recorder, int) { return m.probeRec, m.probeMem
 func (m *Manager) Tokens() *TokenTable { return m.tokens }
 
 // Connections returns the currently tracked connections.
-func (m *Manager) Connections() []*Connection { return m.conns }
+func (m *Manager) Connections() []*Connection {
+	m.compact()
+	return m.conns
+}
 
 // RemoveLocalInterface withdraws an interface from every tracked connection
 // (mid-session interface loss, §3.4): affected subflows are failed, their data
 // reinjected, and REMOVE_ADDR sent to peers over surviving subflows. The
 // fault-injection layer drives this to emulate mobility churn.
 func (m *Manager) RemoveLocalInterface(ifc *netem.Interface) {
-	conns := append([]*Connection(nil), m.conns...)
+	conns := append([]*Connection(nil), m.Connections()...)
 	for _, c := range conns {
 		c.RemoveLocalInterface(ifc)
 	}
@@ -67,7 +75,7 @@ func (m *Manager) RemoveLocalInterface(ifc *netem.Interface) {
 // RestoreLocalInterface reacts to an interface returning: clients re-open
 // subflows across it, servers re-advertise its address.
 func (m *Manager) RestoreLocalInterface(ifc *netem.Interface) {
-	conns := append([]*Connection(nil), m.conns...)
+	conns := append([]*Connection(nil), m.Connections()...)
 	for _, c := range conns {
 		c.RestoreLocalInterface(ifc)
 	}
@@ -98,20 +106,44 @@ func (m *Manager) Dial(iface *netem.Interface, remote packet.Endpoint, cfg Confi
 	}
 	s.attach(ep)
 	c.usedRemote[remote] = true
-	m.conns = append(m.conns, c)
+	m.addConnection(c)
 	return c, nil
 }
 
+// addConnection starts tracking c.
+func (m *Manager) addConnection(c *Connection) {
+	c.mgrSlot = int32(len(m.conns))
+	m.conns = append(m.conns, c)
+}
+
+// removeConnection stops tracking c, leaving a hole in its slot.
 func (m *Manager) removeConnection(c *Connection) {
 	if c.localToken != 0 {
 		m.tokens.Remove(c.localToken)
 	}
-	for i, other := range m.conns {
-		if other == c {
-			m.conns = append(m.conns[:i], m.conns[i+1:]...)
-			return
+	if i := int(c.mgrSlot); i < len(m.conns) && m.conns[i] == c {
+		m.conns[i] = nil
+		m.holes++
+		if 2*m.holes > len(m.conns) {
+			m.compact()
 		}
 	}
+}
+
+// compact squeezes the holes out of conns, keeping the order.
+func (m *Manager) compact() {
+	if m.holes == 0 {
+		return
+	}
+	live := m.conns[:0]
+	for _, c := range m.conns {
+		if c != nil {
+			c.mgrSlot = int32(len(live))
+			live = append(live, c)
+		}
+	}
+	clear(m.conns[len(live):])
+	m.conns, m.holes = live, 0
 }
 
 // AcceptCallback is invoked for every new connection a Listener accepts,
@@ -215,7 +247,7 @@ func (l *Listener) hooksForSYN(syn *packet.Segment) (tcp.Hooks, bool) {
 	}
 
 	s := c.newSubflow(RoleInitial, false)
-	l.mgr.conns = append(l.mgr.conns, c)
+	l.mgr.addConnection(c)
 	l.pending = s
 	l.pendingNew = true
 	return s, true

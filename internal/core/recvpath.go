@@ -3,19 +3,22 @@ package core
 import (
 	"mptcpgo/internal/buffer"
 	"mptcpgo/internal/packet"
-	"mptcpgo/internal/pool"
 )
 
 // onSubflowData maps in-order subflow payload into the connection-level data
 // sequence space using the received DSS mappings, verifying checksums where
-// possible, and feeds the shared reassembly queue.
-func (c *Connection) onSubflowData(s *Subflow, relSeq uint32, data []byte) {
+// possible, and feeds the shared reassembly queue. buf, when non-nil, is the
+// pool buffer holding data; the chunk that ends the payload (all of it, in
+// the common one-mapping-per-segment case) is queued in that buffer, and
+// true returned, when a queue keeps it. Earlier chunks of a payload split
+// across mappings, and fallback data, are copied.
+func (c *Connection) onSubflowData(s *Subflow, relSeq uint32, data, buf []byte) (kept bool) {
 	if c.closed || len(data) == 0 {
-		return
+		return false
 	}
 	if c.Fallback() {
-		c.insertData(s, c.fallbackDataSeq(s, uint64(relSeq)), data)
-		return
+		c.insertData(s, c.fallbackDataSeq(s, uint64(relSeq)), data, nil)
+		return false
 	}
 	for len(data) > 0 {
 		m, ok := s.findRxMapping(relSeq)
@@ -23,7 +26,7 @@ func (c *Connection) onSubflowData(s *Subflow, relSeq uint32, data []byte) {
 			next, found := s.nextRxMappingAfter(relSeq)
 			if !found {
 				c.handleUnmappedData(s, relSeq, data)
-				return
+				return false
 			}
 			// Bytes without a mapping (a coalescing middlebox merged
 			// segments and dropped one of the DSS options, §3.3.5): they are
@@ -32,7 +35,7 @@ func (c *Connection) onSubflowData(s *Subflow, relSeq uint32, data []byte) {
 			skip := int(next - relSeq)
 			if skip >= len(data) {
 				c.stats.UnmappedBytes += uint64(len(data))
-				return
+				return false
 			}
 			c.stats.UnmappedBytes += uint64(skip)
 			data = data[skip:]
@@ -57,15 +60,22 @@ func (c *Connection) onSubflowData(s *Subflow, relSeq uint32, data []byte) {
 				s.csumFailures++
 				c.stats.ChecksumFailures++
 				c.onChecksumFailure(s)
-				return
+				return false
 			}
 		}
 
-		c.insertData(s, dataSeq, chunk)
+		if n == len(data) {
+			// The last chunk of the payload: nothing else refers to the
+			// buffer any more (earlier chunks were copied), so hand it on.
+			kept = c.insertData(s, dataSeq, chunk, buf)
+		} else {
+			c.insertData(s, dataSeq, chunk, nil)
+		}
 		data = data[n:]
 		relSeq += uint32(n)
 	}
 	s.gcRxMappings(relSeq)
+	return kept
 }
 
 // fallbackDataSeq converts a subflow-relative offset into a data sequence
@@ -88,7 +98,7 @@ func (c *Connection) fallbackDataSeq(s *Subflow, relSeq uint64) uint64 {
 func (c *Connection) handleUnmappedData(s *Subflow, relSeq uint32, data []byte) {
 	if len(s.rxMappings) == 0 && len(c.subflows) <= 1 && c.dataRcvNxt == 0 {
 		c.enterFallback("data received without a mapping", s)
-		c.insertData(s, c.fallbackDataSeq(s, uint64(relSeq)), data)
+		c.insertData(s, c.fallbackDataSeq(s, uint64(relSeq)), data, nil)
 		return
 	}
 	c.stats.UnmappedBytes += uint64(len(data))
@@ -110,36 +120,51 @@ func (c *Connection) onChecksumFailure(s *Subflow) {
 
 // insertData places a chunk of connection-level data at dataSeq: in-order
 // data goes straight to the receive queue, anything else to the shared
-// out-of-order queue (§4.3).
-func (c *Connection) insertData(s *Subflow, dataSeq uint64, data []byte) {
+// out-of-order queue (§4.3). buf, when non-nil, is the pool buffer holding
+// data; insertData reports whether a queue took it over (a duplicate is
+// left to the caller).
+func (c *Connection) insertData(s *Subflow, dataSeq uint64, data, buf []byte) (kept bool) {
 	end := dataSeq + uint64(len(data))
 	if end <= c.dataRcvNxt {
-		return // duplicate (e.g. opportunistic retransmission arriving late)
+		return false // duplicate (e.g. opportunistic retransmission arriving late)
 	}
 	if dataSeq < c.dataRcvNxt {
 		skip := c.dataRcvNxt - dataSeq
 		data = data[skip:]
 		dataSeq = c.dataRcvNxt
 	}
-	if dataSeq == c.dataRcvNxt {
-		c.rcvBuf.Append(data)
-		c.dataRcvNxt += uint64(len(data))
-		for _, it := range c.ofo.PopContiguous(c.dataRcvNxt) {
-			c.rcvBuf.Append(it.Data)
-			c.dataRcvNxt = it.End()
-			if n := c.ofoBySubflow[it.Subflow]; n > 0 {
-				c.ofoBySubflow[it.Subflow] = maxInt(0, n-len(it.Data))
-			}
-			pool.Recycle(it.Data)
-		}
-		c.maybeConsumeRemoteDataFin()
-		if c.OnReadable != nil {
-			c.OnReadable()
-		}
-		return
+	if dataSeq != c.dataRcvNxt {
+		_, stored := c.ofo.Insert(buffer.Item{Seq: dataSeq, Data: data, Buf: buf, Subflow: s.id})
+		s.ofoBytes += stored
+		return buf != nil
 	}
-	c.ofo.Insert(buffer.Item{Seq: dataSeq, Data: data, Subflow: s.id})
-	c.ofoBySubflow[s.id] += len(data)
+	c.rcvBuf.Push(data, buf)
+	c.dataRcvNxt += uint64(len(data))
+	run, dropped := c.ofo.PopContiguous(c.dataRcvNxt)
+	for _, it := range run {
+		c.rcvBuf.Push(it.Data, it.Buf)
+		c.dataRcvNxt = it.End()
+		c.releaseOfoBytes(it.Subflow, len(it.Data))
+	}
+	for _, d := range dropped {
+		c.releaseOfoBytes(d.Subflow, d.Bytes)
+	}
+	c.maybeConsumeRemoteDataFin()
+	if c.OnReadable != nil {
+		c.OnReadable()
+	}
+	return buf != nil
+}
+
+// releaseOfoBytes uncharges n bytes that left the out-of-order queue from
+// the subflow they arrived on (if it is still attached).
+func (c *Connection) releaseOfoBytes(subflow, n int) {
+	for _, s := range c.subflows {
+		if s.id == subflow {
+			s.ofoBytes -= n
+			return
+		}
+	}
 }
 
 // onRemoteDataFIN records the peer's DATA_FIN (the end of its data stream).

@@ -62,6 +62,10 @@ type Subflow struct {
 
 	// Receiver-side mappings, kept sorted by subflow offset.
 	rxMappings []rxMapping
+	// ofoBytes counts the bytes that arrived on this subflow and sit in the
+	// connection's out-of-order queue: the PerSubflowReceiveWindow
+	// ablation charges them to this subflow's window.
+	ofoBytes int
 
 	// addAddrRepeats counts how many more outgoing segments should carry the
 	// ADD_ADDR advertisements (sent a few times for robustness).
@@ -548,8 +552,8 @@ func (s *Subflow) failSubflow(reason string) {
 
 // OnDataDelivered implements tcp.Hooks: in-order subflow payload is mapped
 // into the connection-level sequence space.
-func (s *Subflow) OnDataDelivered(e *tcp.Endpoint, relSeq uint32, data []byte) {
-	s.conn.onSubflowData(s, relSeq, data)
+func (s *Subflow) OnDataDelivered(e *tcp.Endpoint, relSeq uint32, data, buf []byte) bool {
+	return s.conn.onSubflowData(s, relSeq, data, buf)
 }
 
 // OnStateChange implements tcp.Hooks.
@@ -592,7 +596,7 @@ func (s *Subflow) AdvertiseWindow(e *tcp.Endpoint) (int, bool) {
 	c := s.conn
 	if c.cfg.PerSubflowReceiveWindow && c.MPTCPActive() {
 		share := c.cfg.RecvBufBytes / maxInt(1, len(c.subflows))
-		used := e.ReceiveQueuedBytes() + c.ofoBySubflow[s.id]
+		used := e.ReceiveQueuedBytes() + s.ofoBytes
 		win := share - used
 		if win < 0 {
 			win = 0

@@ -189,9 +189,9 @@ func (h *Host) dispatch(ingress *Interface, seg *packet.Segment) {
 	if handler, ok := h.conns[key]; ok {
 		h.lastKey, h.lastHandler = key, handler
 		handler.HandleSegment(ingress, seg)
-		// The segment has been fully consumed: handlers copy any payload
-		// bytes they keep (receive queues and reassembly buffers own their
-		// own pool buffers), so the segment goes back to the pool here.
+		// The segment has been fully consumed: a handler that keeps the
+		// payload has taken its pool buffer with DetachPayload (or copied
+		// the bytes), so the segment goes back to the pool here.
 		seg.Release()
 		return
 	}

@@ -19,8 +19,9 @@ import (
 // it to the path; middlebox elements own the segments passed to Process and
 // must Release any segment they consume rather than forward; the receiving
 // host releases the segment after HandleSegment returns. Nothing may retain
-// a Segment — or any slice of its Payload — past its ownership window; use
-// Clone (or copy the bytes out) to keep data.
+// a Segment — or any slice of a Payload it still owns — past its ownership
+// window; to keep data, take the buffer with DetachPayload, Clone the
+// segment or copy the bytes out.
 
 var segPool = sync.Pool{New: func() any { return new(Segment) }}
 
@@ -39,6 +40,11 @@ func (s *Segment) AttachPayload(buf []byte) {
 	s.Payload = buf
 	s.ownsPayload = true
 }
+
+// OwnsPayload reports whether Payload is a pool-owned buffer the segment
+// will recycle on Release — and so one a receiver may take over with
+// DetachPayload instead of copying its bytes.
+func (s *Segment) OwnsPayload() bool { return s.ownsPayload }
 
 // DetachPayload transfers ownership of the payload buffer to the caller:
 // Release will no longer recycle it.

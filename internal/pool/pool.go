@@ -1,8 +1,10 @@
 // Package pool provides size-classed, concurrency-safe byte-buffer recycling
-// for the per-segment hot path. The emulator moves every payload byte through
-// several hops (send queue → wire segment → reassembly queue → receive
-// queue); without recycling, each hop costs a garbage-collected allocation
-// per segment, which dominates the CPU profile of the figure benchmarks.
+// for the per-segment hot path. A payload byte is copied into the send
+// store's blocks, then into a wire segment's buffer, and that buffer travels
+// on as the receiver's reassembly and receive-queue storage until the
+// application reads it; without recycling, each of those buffers costs a
+// garbage-collected allocation per segment, which dominates the CPU profile
+// of the figure benchmarks.
 //
 // Ownership discipline: a buffer obtained from Bytes (or Copy) is owned by
 // exactly one component at a time. The owner either passes ownership on

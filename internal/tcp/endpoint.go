@@ -102,8 +102,8 @@ type Endpoint struct {
 	sackRanges        []packet.SACKBlock
 	rcvBufMax         int
 	rcvBufActual      int
-	recvQueue         *buffer.ByteQueue // in-order data awaiting application Read
-	recvOfo           buffer.OfoQueue   // out-of-order subflow segments
+	recvQueue         buffer.RecvQueue // in-order data awaiting application Read
+	recvOfo           buffer.OfoQueue  // out-of-order subflow segments
 	finReceived       bool
 	lastAdvertisedWnd int
 	delackTimer       *sim.Timer
@@ -386,12 +386,12 @@ func (e *Endpoint) QueuedBytes() int { return e.queuedBytes }
 // ReceiveQueuedBytes returns payload bytes held in the receive path (in-order
 // unread plus out-of-order).
 func (e *Endpoint) ReceiveQueuedBytes() int {
-	n := e.recvOfo.Bytes()
-	if e.recvQueue != nil {
-		n += e.recvQueue.Len()
-	}
-	return n
+	return e.recvOfo.Bytes() + e.recvQueue.Len()
 }
+
+// ReceiveBuffers returns how many pool buffers the receive path holds: the
+// in-order queue's plus one per out-of-order segment.
+func (e *Endpoint) ReceiveBuffers() int { return e.recvQueue.Buffers() + e.recvOfo.Len() }
 
 func (e *Endpoint) effectiveSendBuf() int {
 	if !e.cfg.AutoTuneBuffers {
@@ -521,7 +521,7 @@ func (e *Endpoint) SendChunk(off uint64, n int, opt packet.Option) bool {
 // Read removes and returns up to max bytes of in-order received data (plain
 // TCP applications). It returns nil when nothing is buffered.
 func (e *Endpoint) Read(max int) []byte {
-	if e.recvQueue == nil || e.recvQueue.Len() == 0 {
+	if e.recvQueue.Len() == 0 {
 		return nil
 	}
 	data := e.recvQueue.Pop(max)
@@ -530,17 +530,12 @@ func (e *Endpoint) Read(max int) []byte {
 }
 
 // ReadableBytes returns the number of bytes Read would return.
-func (e *Endpoint) ReadableBytes() int {
-	if e.recvQueue == nil {
-		return 0
-	}
-	return e.recvQueue.Len()
-}
+func (e *Endpoint) ReadableBytes() int { return e.recvQueue.Len() }
 
 // EOF reports whether the peer has closed its sending direction and all data
 // has been read.
 func (e *Endpoint) EOF() bool {
-	return e.finReceived && (e.recvQueue == nil || e.recvQueue.Len() == 0)
+	return e.finReceived && e.recvQueue.Len() == 0
 }
 
 // Close closes the sending direction: a FIN is queued after any pending data.
@@ -720,6 +715,12 @@ func (e *Endpoint) teardown(err error) {
 	if e.ownStore {
 		// Nothing can be sent any more: hand the payload blocks back.
 		e.store.Reset(e.store.TailOffset())
+	}
+	// Nothing more can be reassembled. Unread in-order bytes stay readable
+	// after a graceful close; an abort or reset discards them.
+	e.recvOfo.Reset()
+	if err != nil {
+		e.recvQueue.Reset()
 	}
 	e.setState(StateClosed)
 	if e.OnClosed != nil {

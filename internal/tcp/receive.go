@@ -69,7 +69,6 @@ func (e *Endpoint) handleSynSent(seg *packet.Segment) {
 	e.rcvNxt = seg.Seq.Add(1)
 	e.sndUna = seg.Ack
 	e.sndWnd = int(seg.Window)
-	e.recvQueue = buffer.NewByteQueue(0)
 	// Remove the SYN chunk from the retransmission queue and take an RTT
 	// sample from the handshake.
 	if len(e.retransQ) > 0 && e.retransQ[0].syn {
@@ -107,7 +106,6 @@ func (e *Endpoint) handleSynReceived(seg *packet.Segment) {
 	}
 	e.sndUna = seg.Ack
 	e.sndWnd = int(seg.Window) << uint(e.peerWndShift)
-	e.recvQueue = buffer.NewByteQueue(0)
 	if len(e.retransQ) > 0 && e.retransQ[0].syn {
 		var c *chunk
 		e.retransQ, c = popChunk(e.retransQ)
@@ -148,6 +146,15 @@ func (e *Endpoint) processPayload(seg *packet.Segment) {
 
 	segSeq := seg.Seq
 	payload := seg.Payload
+	// The FIN occupies the sequence number just after the segment's
+	// original payload.
+	finSeq := seg.Seq.Add(uint32(len(seg.Payload)))
+	// buf is the segment's pool buffer when the segment owns it: whichever
+	// queue keeps the payload takes the buffer instead of copying the bytes.
+	var buf []byte
+	if seg.OwnsPayload() {
+		buf = seg.Payload
+	}
 
 	// Trim data we already have.
 	if segSeq.LessThan(e.rcvNxt) {
@@ -169,28 +176,27 @@ func (e *Endpoint) processPayload(seg *packet.Segment) {
 	if segSeq == e.rcvNxt {
 		// In-order: deliver directly.
 		if len(payload) > 0 {
-			e.deliver(segSeq, payload)
+			if e.deliver(segSeq, payload, buf) {
+				seg.DetachPayload()
+			}
 			e.rcvNxt = e.rcvNxt.Add(uint32(len(payload)))
 		}
-		// Drain anything now contiguous from the out-of-order queue; each
-		// item's pool-owned buffer is recycled once its bytes have been
-		// copied into the downstream queues.
+		// Drain anything now contiguous from the out-of-order queue; an
+		// item's buffer moves on downstream or, if nothing keeps it, goes
+		// back to the pool.
 		rel := uint64(uint32(e.rcvNxt.DiffFrom(e.irs.Add(1))))
-		for _, it := range e.recvOfo.PopContiguous(rel) {
-			e.deliver(e.rcvNxt, it.Data)
+		run, _ := e.recvOfo.PopContiguous(rel)
+		for _, it := range run {
+			if !e.deliver(e.rcvNxt, it.Data, it.Buf) {
+				pool.Recycle(it.Buf)
+			}
 			e.rcvNxt = e.rcvNxt.Add(uint32(len(it.Data)))
-			rel = it.End()
-			pool.Recycle(it.Data)
 		}
 		e.pruneSackRanges()
-		if hasFin {
-			// The FIN occupies the sequence number just after the segment's
-			// original payload; it is in sequence once everything before it
-			// has been delivered.
-			finSeq := seg.Seq.Add(uint32(len(seg.Payload)))
-			if finSeq == e.rcvNxt {
-				e.handleFIN()
-			}
+		// The FIN is in sequence once everything before it has been
+		// delivered.
+		if hasFin && finSeq == e.rcvNxt {
+			e.handleFIN()
 		}
 		e.scheduleAck(hasFin || e.recvOfo.Len() > 0)
 		if len(payload) > 0 || hasFin {
@@ -204,9 +210,12 @@ func (e *Endpoint) processPayload(seg *packet.Segment) {
 	// because both Seq and ISN are rewritten together).
 	if len(payload) > 0 {
 		rel := uint64(uint32(segSeq.DiffFrom(e.irs.Add(1))))
-		// Insert copies the payload into a pool-owned buffer; the segment
-		// keeps ownership of the slice passed in.
-		e.recvOfo.Insert(buffer.Item{Seq: rel, Data: payload})
+		// Insert takes the segment's buffer (storing or recycling it), or
+		// copies a payload the segment does not own.
+		e.recvOfo.Insert(buffer.Item{Seq: rel, Data: payload, Buf: buf})
+		if buf != nil {
+			seg.DetachPayload()
+		}
 		e.recordSackRange(segSeq, segSeq.Add(uint32(len(payload))))
 	}
 	// Immediate duplicate ACK to trigger the peer's fast retransmit.
@@ -214,15 +223,23 @@ func (e *Endpoint) processPayload(seg *packet.Segment) {
 }
 
 // deliver hands in-order payload to the application buffer or, for MPTCP
-// subflows, to the connection-level hook.
-func (e *Endpoint) deliver(seq packet.SeqNum, data []byte) {
+// subflows, to the connection-level hook. buf, when non-nil, is the pool
+// buffer holding data and is offered to whichever keeps the bytes; deliver
+// reports whether one of them took it (otherwise the caller still owns it).
+func (e *Endpoint) deliver(seq packet.SeqNum, data, buf []byte) (kept bool) {
 	e.stats.BytesDelivered += uint64(len(data))
 	rel := uint32(seq.DiffFrom(e.irs.Add(1)))
-	e.hooks.OnDataDelivered(e, rel, data)
-	if e.recvQueue != nil && !e.cfg.PayloadToHooksOnly {
-		e.recvQueue.Append(data)
+	kept = e.hooks.OnDataDelivered(e, rel, data, buf)
+	if !e.cfg.PayloadToHooksOnly {
+		if kept {
+			e.recvQueue.Append(data)
+		} else {
+			e.recvQueue.Push(data, buf)
+			kept = buf != nil
+		}
 	}
 	e.maybeAutotuneRecvBuffer(len(data))
+	return kept
 }
 
 // maybeAutotuneRecvBuffer grows the receive buffer toward its configured

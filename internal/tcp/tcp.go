@@ -233,8 +233,11 @@ type Hooks interface {
 	OnSegmentReceived(e *Endpoint, seg *packet.Segment)
 	// OnDataDelivered receives in-order subflow payload. relSeq is the
 	// offset of data[0] from the peer's initial sequence number + 1, i.e.
-	// the same coordinate space the DSS subflow offset uses.
-	OnDataDelivered(e *Endpoint, relSeq uint32, data []byte)
+	// the same coordinate space the DSS subflow offset uses. When buf is
+	// non-nil it is the pool buffer holding data, and the hook may keep it
+	// (queue data in place) by returning true; ownership then passes to the
+	// hook. Data the hook does not keep must not be retained past the call.
+	OnDataDelivered(e *Endpoint, relSeq uint32, data, buf []byte) (kept bool)
 	// OnStateChange reports endpoint state transitions.
 	OnStateChange(e *Endpoint, old, new State)
 	// OnSendSpaceAvailable is invoked whenever acknowledgements or window
@@ -256,7 +259,7 @@ func (NopHooks) OnSegmentSent(*Endpoint, *packet.Segment, bool) {}
 func (NopHooks) OnSegmentReceived(*Endpoint, *packet.Segment) {}
 
 // OnDataDelivered implements Hooks.
-func (NopHooks) OnDataDelivered(*Endpoint, uint32, []byte) {}
+func (NopHooks) OnDataDelivered(*Endpoint, uint32, []byte, []byte) bool { return false }
 
 // OnStateChange implements Hooks.
 func (NopHooks) OnStateChange(*Endpoint, State, State) {}
