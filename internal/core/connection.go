@@ -83,6 +83,10 @@ type Connection struct {
 	established bool
 	closed      bool
 	err         error
+	// resetErr is the terminal error of an Abort or a peer's MP_FASTCLOSE
+	// while its subflow resets are in flight: the resets close the subflows
+	// cleanly, and the last one must still end the connection with it.
+	resetErr error
 
 	ccGroup   *cc.CoupledGroup
 	scheduler sched.Scheduler
@@ -407,31 +411,24 @@ func (c *Connection) Close() {
 
 // Abort terminates the connection immediately: every subflow is reset and
 // unread data is discarded.
-func (c *Connection) Abort() {
+func (c *Connection) Abort() { c.resetAll(ErrAborted) }
+
+func (c *Connection) abortFromPeer() { c.resetAll(ErrReset) }
+
+// resetAll discards the unread in-order data, resets every subflow and
+// finishes the connection with err. The last subflow's reset usually
+// finishes the connection already (maybeFinishAfterLastSubflow picks err up
+// from resetErr); the final finish covers a connection with no live subflow.
+func (c *Connection) resetAll(err error) {
 	if c.closed {
 		return
 	}
-	c.resetAll()
-	c.finish(ErrAborted)
-}
-
-func (c *Connection) abortFromPeer() {
-	if c.closed {
-		return
-	}
-	c.resetAll()
-	c.finish(ErrReset)
-}
-
-// resetAll discards the unread in-order data and resets every subflow. The
-// receive queue is emptied here rather than left to finish: the last
-// subflow's reset can already finish the connection as if it had closed
-// gracefully.
-func (c *Connection) resetAll() {
+	c.resetErr = err
 	c.rcvBuf.Reset()
 	for _, s := range c.subflows {
 		s.ep.SendReset()
 	}
+	c.finish(err)
 }
 
 // ErrReset mirrors the subflow-level reset error at the connection level.
@@ -745,6 +742,9 @@ func (c *Connection) onSubflowClosed(s *Subflow, err error) {
 // maybeFinishAfterLastSubflow decides the terminal state once no subflows
 // remain.
 func (c *Connection) maybeFinishAfterLastSubflow(err error) {
+	if err == nil {
+		err = c.resetErr
+	}
 	cleanSend := !c.dataFinQueued || c.dataFinAcked || (c.Fallback() && c.SenderMemory() == 0)
 	cleanRecv := c.eofConsumed || !c.remoteDataFin || c.Fallback()
 	if err == nil && cleanSend && cleanRecv {
