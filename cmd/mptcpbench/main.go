@@ -114,15 +114,17 @@ func main() {
 		info := telemetry.CollectRunInfo(*scenario, *seed, *quick)
 		flag.Visit(func(f *flag.Flag) { info.SetFlag(f.Name, f.Value.String()) })
 		o := scenarioOptions{
-			seed: *seed, members: *clients, shards: *shards, workers: *workers,
-			quick: *quick, pcapDir: *pcapDir,
-			trace: experiments.TraceSpec{Dir: *traceDir, ProbeInterval: *probeInterval},
-			rate:  *rate, window: *duration, sizeDist: *sizeDist, arrival: *arrival,
+			env: fleet.Envelope{
+				Seed: *seed, Shards: *shards, Workers: *workers, Quick: *quick, PcapDir: *pcapDir,
+				Trace:     experiments.TraceSpec{Dir: *traceDir, ProbeInterval: *probeInterval},
+				Telemetry: plane,
+			},
+			members: *clients,
+			rate:    *rate, window: *duration, sizeDist: *sizeDist, arrival: *arrival,
 			faults: *faultSpec, adversary: *adversary,
-			telem: plane,
 		}
 		if *traceDir != "" {
-			o.trace.RunInfo = info
+			o.env.Trace.RunInfo = info
 		}
 		if *sharedLink != "" {
 			l, err := capacity.ParseSharedLink(*sharedLink)
@@ -235,15 +237,9 @@ func main() {
 
 // scenarioOptions carries the CLI sizing for one fleet scenario run.
 type scenarioOptions struct {
-	seed            uint64
-	members         int
-	shards, workers int
-	quick           bool
-	pcapDir         string
-	trace           experiments.TraceSpec
-	// telem is the run's telemetry plane (nil = detached); scenarios that
-	// support instrumentation pass it into their fleet spec.
-	telem *telemetry.Plane
+	// env is the run knobs and observers every scenario shares.
+	env     fleet.Envelope
+	members int
 
 	// open-loop scenarios (fleet-openloop, fleet-corelink) only.
 	rate     float64
@@ -309,17 +305,15 @@ func runScenario(name string, o scenarioOptions) (*experiments.Result, time.Dura
 
 func runHTTPScenario(o scenarioOptions) (*experiments.Result, error) {
 	n, requests, size := 1000, 2, 32<<10
-	if o.quick {
+	if o.env.Quick {
 		n, requests, size = 64, 1, 16<<10
 	}
 	if o.members > 0 {
 		n = o.members
 	}
-	spec := fleet.DefaultHTTPSpec(o.seed, n, requests, size)
-	spec.Shards, spec.Workers, spec.Quick, spec.PcapDir = o.shards, o.workers, o.quick, o.pcapDir
+	spec := fleet.DefaultHTTPSpec(o.env.Seed, n, requests, size)
+	spec.Envelope = o.env
 	spec.Shared = o.shared
-	spec.Trace = o.trace
-	spec.Telemetry = o.telem
 	return fleet.RunHTTP(spec)
 }
 
@@ -327,7 +321,7 @@ func runHTTPScenario(o scenarioOptions) (*experiments.Result, error) {
 // between fleet-openloop and fleet-corelink.
 func openLoopSpecFrom(o scenarioOptions) (fleet.OpenLoopSpec, error) {
 	hosts, rate, window := 256, 400.0, 5*time.Second
-	if o.quick {
+	if o.env.Quick {
 		hosts, rate, window = 32, 60.0, 2*time.Second
 	}
 	if o.members > 0 {
@@ -347,11 +341,7 @@ func openLoopSpecFrom(o scenarioOptions) (fleet.OpenLoopSpec, error) {
 	if err != nil {
 		return fleet.OpenLoopSpec{}, err
 	}
-	return fleet.OpenLoopSpec{
-		Seed: o.seed, Hosts: hosts, Arrival: arrival, Sizes: sizes, Window: window,
-		Shards: o.shards, Workers: o.workers, Quick: o.quick, PcapDir: o.pcapDir,
-		Trace: o.trace, Telemetry: o.telem,
-	}, nil
+	return fleet.OpenLoopSpec{Envelope: o.env, Hosts: hosts, Arrival: arrival, Sizes: sizes, Window: window}, nil
 }
 
 func runOpenLoopScenario(o scenarioOptions) (*experiments.Result, error) {
@@ -371,7 +361,7 @@ func runCorelinkScenario(o scenarioOptions) (*experiments.Result, error) {
 		return nil, err
 	}
 	core := capacity.SharedLink{Name: capacity.DefaultName, RateBps: netem.Mbps(100)}
-	if o.quick {
+	if o.env.Quick {
 		core.RateBps = netem.Mbps(10)
 	}
 	if o.shared != nil {
@@ -381,21 +371,15 @@ func runCorelinkScenario(o scenarioOptions) (*experiments.Result, error) {
 }
 
 func runCDNScenario(o scenarioOptions) (*experiments.Result, error) {
-	if o.trace.Enabled() {
-		return nil, fmt.Errorf("fleet-cdn does not support -trace-dir (flight recording covers fleet-http, fleet-openloop, fleet-corelink and fleet-chaos)")
-	}
 	n, size := 256, 1<<20
-	if o.quick {
+	if o.env.Quick {
 		n, size = 32, 256<<10
 	}
 	if o.members > 0 {
 		n = o.members
 	}
-	spec := fleet.CDNSpec{
-		Seed: o.seed, Clients: n, ObjectSize: size,
-		Shards: o.shards, Workers: o.workers, Quick: o.quick, PcapDir: o.pcapDir,
-	}
-	if o.quick {
+	spec := fleet.CDNSpec{Envelope: o.env, Clients: n, ObjectSize: size}
+	if o.env.Quick {
 		spec.Shared.RateBps = netem.Mbps(50)
 	}
 	if o.shared != nil {
@@ -405,42 +389,30 @@ func runCDNScenario(o scenarioOptions) (*experiments.Result, error) {
 }
 
 func runIncastScenario(o scenarioOptions) (*experiments.Result, error) {
-	if o.trace.Enabled() {
-		return nil, fmt.Errorf("incast does not support -trace-dir (flight recording covers fleet-http, fleet-openloop, fleet-corelink and fleet-chaos)")
-	}
 	n, block := 256, 256<<10
-	if o.quick {
+	if o.env.Quick {
 		n, block = 32, 128<<10
 	}
 	if o.members > 0 {
 		n = o.members
 	}
-	return fleet.RunIncast(fleet.IncastSpec{
-		Seed: o.seed, Senders: n, BlockSize: block,
-		Shards: o.shards, Workers: o.workers, Quick: o.quick, PcapDir: o.pcapDir,
-	})
+	return fleet.RunIncast(fleet.IncastSpec{Envelope: o.env, Senders: n, BlockSize: block})
 }
 
 func runMixedScenario(o scenarioOptions) (*experiments.Result, error) {
-	if o.trace.Enabled() {
-		return nil, fmt.Errorf("mixed does not support -trace-dir (flight recording covers fleet-http, fleet-openloop, fleet-corelink and fleet-chaos)")
-	}
 	n, dur := 32, 5*time.Second
-	if o.quick {
+	if o.env.Quick {
 		n, dur = 8, 2*time.Second
 	}
 	if o.members > 0 {
 		n = o.members
 	}
-	return fleet.RunMixed(fleet.MixedSpec{
-		Seed: o.seed, Pairs: n, Duration: dur,
-		Shards: o.shards, Workers: o.workers, Quick: o.quick, PcapDir: o.pcapDir,
-	})
+	return fleet.RunMixed(fleet.MixedSpec{Envelope: o.env, Pairs: n, Duration: dur})
 }
 
 func runChaosScenario(o scenarioOptions) (*experiments.Result, error) {
 	n := 32
-	if o.quick {
+	if o.env.Quick {
 		n = 8
 	}
 	if o.members > 0 {
@@ -450,11 +422,7 @@ func runChaosScenario(o scenarioOptions) (*experiments.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return fleet.RunChaos(fleet.ChaosSpec{
-		Seed: o.seed, Members: n, Faults: spec, Adversary: o.adversary,
-		Shards: o.shards, Workers: o.workers, Quick: o.quick, PcapDir: o.pcapDir,
-		Trace: o.trace, Telemetry: o.telem,
-	})
+	return fleet.RunChaos(fleet.ChaosSpec{Envelope: o.env, Members: n, Faults: spec, Adversary: o.adversary})
 }
 
 // writeResults encodes results to the -out file or stdout.

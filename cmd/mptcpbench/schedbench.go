@@ -21,7 +21,7 @@ import (
 // Wheel-vs-heap wall-clock goes to stderr only.
 func runSchedScenario(o scenarioOptions) (*experiments.Result, error) {
 	ops := 200_000
-	if o.quick {
+	if o.env.Quick {
 		ops = 20_000
 	}
 	if o.members > 0 {
@@ -31,17 +31,17 @@ func runSchedScenario(o scenarioOptions) (*experiments.Result, error) {
 	res := &experiments.Result{
 		ID:    "sched-equivalence",
 		Title: fmt.Sprintf("scheduler equivalence: wheel vs heap over %d-op deterministic workloads", ops),
-		Seed:  o.seed, Quick: o.quick,
+		Seed:  o.env.Seed, Quick: o.env.Quick,
 	}
 	table := experiments.NewTable("firing-order checksums (wheel must equal heap)",
 		"workload", "events", "finalTime", "checksum", "identical")
 	allIdentical := true
 	for _, w := range schedWorkloads {
 		startW := time.Now()
-		wheelSum, wheelEvents, wheelEnd := w.run(sim.SchedulerWheel, o.seed, ops)
+		wheelSum, wheelEvents, wheelEnd := w.run(sim.SchedulerWheel, o.env.Seed, ops)
 		wallWheel := time.Since(startW)
 		startH := time.Now()
-		heapSum, heapEvents, heapEnd := w.run(sim.SchedulerHeap, o.seed, ops)
+		heapSum, heapEvents, heapEnd := w.run(sim.SchedulerHeap, o.env.Seed, ops)
 		wallHeap := time.Since(startH)
 		identical := wheelSum == heapSum && wheelEvents == heapEvents && wheelEnd == heapEnd
 		allIdentical = allIdentical && identical

@@ -36,7 +36,7 @@ const telemetryOverheadFloor = 200 * time.Millisecond
 // bench/BENCH_trace.json under the freshness gate.
 func runTraceOverheadScenario(o scenarioOptions) (*experiments.Result, error) {
 	hosts, rate, window := 64, 150.0, 2*time.Second
-	if o.quick {
+	if o.env.Quick {
 		hosts, rate, window = 16, 80.0, 1*time.Second
 	}
 	if o.members > 0 {
@@ -48,9 +48,9 @@ func runTraceOverheadScenario(o scenarioOptions) (*experiments.Result, error) {
 	if o.window > 0 {
 		window = o.window
 	}
-	base := fleet.DefaultOpenLoopSpec(o.seed, hosts, rate, window)
+	base := fleet.DefaultOpenLoopSpec(o.env.Seed, hosts, rate, window)
 	base.Sizes = workload.FixedSize(16 << 10)
-	base.Shards, base.Workers, base.Quick = o.shards, o.workers, o.quick
+	base.Shards, base.Workers, base.Quick = o.env.Shards, o.env.Workers, o.env.Quick
 
 	// Three paired (plain, telemetry-attached) runs: the first pair's plain
 	// result doubles as the identity baseline, and the minimum on/off ratio
@@ -91,7 +91,7 @@ func runTraceOverheadScenario(o scenarioOptions) (*experiments.Result, error) {
 
 	// The traced run needs a directory; an ephemeral one keeps the scenario
 	// self-contained unless the caller asked for the files via -trace-dir.
-	dir := o.trace.Dir
+	dir := o.env.Trace.Dir
 	if dir == "" {
 		tmp, err := os.MkdirTemp("", "trace-overhead")
 		if err != nil {
@@ -100,7 +100,7 @@ func runTraceOverheadScenario(o scenarioOptions) (*experiments.Result, error) {
 		defer os.RemoveAll(tmp)
 		dir = tmp
 	}
-	interval := o.trace.ProbeInterval
+	interval := o.env.Trace.ProbeInterval
 	if interval <= 0 {
 		interval = 100 * time.Millisecond
 	}
@@ -133,7 +133,7 @@ func runTraceOverheadScenario(o scenarioOptions) (*experiments.Result, error) {
 	res := &experiments.Result{
 		ID:    "trace-overhead",
 		Title: fmt.Sprintf("flight-recorder overhead: %d hosts, %.0f flows/s, %v window, %v sampling", hosts, rate, window, interval),
-		Seed:  o.seed, Quick: o.quick,
+		Seed:  o.env.Seed, Quick: o.env.Quick,
 	}
 	table := experiments.NewTable("traced/instrumented vs plain open-loop run (scenario output must not change)",
 		"metric", "value")

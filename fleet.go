@@ -155,14 +155,16 @@ func (f *Fleet) Run() (*Result, error) {
 		return nil, fmt.Errorf("mptcpgo: fleet has no client groups")
 	}
 	spec := fleet.HTTPSpec{
-		Seed:             f.seed,
-		Shards:           f.shards,
-		Workers:          f.workers,
-		Deadline:         f.deadline,
-		Label:            f.label,
+		Envelope: fleet.Envelope{
+			Seed:      f.seed,
+			Shards:    f.shards,
+			Workers:   f.workers,
+			Deadline:  f.deadline,
+			Label:     f.label,
+			Trace:     f.trace,
+			Telemetry: planeOf(f.telem),
+		},
 		Server:           f.server,
-		Trace:            f.trace,
-		Telemetry:        planeOf(f.telem),
 		LatencySampleCap: f.capLat,
 	}
 	if f.shared != nil {
@@ -217,7 +219,7 @@ type OpenLoop struct {
 // 100 flows/s fleet-wide, web-mix sizes, a 5 s arrival window and a 10 s
 // flow deadline. Override with the chained setters.
 func NewOpenLoop(seed uint64) *OpenLoop {
-	return &OpenLoop{spec: fleet.OpenLoopSpec{Seed: seed, Hosts: 64}}
+	return &OpenLoop{spec: fleet.OpenLoopSpec{Envelope: fleet.Envelope{Seed: seed}, Hosts: 64}}
 }
 
 // Hosts sets the number of arrival hosts (each on its own access link).

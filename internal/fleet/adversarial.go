@@ -68,20 +68,18 @@ func runAdversarial(opt experiments.Options) (*experiments.Result, error) {
 	}
 	outs, err := experiments.Sweep(len(cells), func(i int) (advOut, error) {
 		c := cells[i]
-		pcapDir := ""
-		if opt.PcapDir != "" {
-			pcapDir = opt.PcapDir
-		}
 		_, merge, err := runChaos(ChaosSpec{
-			Seed:          opt.Seed + uint64(i)*101,
+			Envelope: Envelope{
+				Seed:        opt.Seed + uint64(i)*101,
+				Quick:       opt.Quick,
+				PcapDir:     opt.PcapDir,
+				CaptureName: fmt.Sprintf("adversarial-%02d", i),
+				Label:       fmt.Sprintf("adversarial[%02d]: adversary=%s faults=%s", i, c.adv, c.fault),
+			},
 			Members:       members,
 			TransferBytes: transfer,
 			Faults:        faults.MustParse(c.fault),
 			Adversary:     c.adv,
-			Quick:         opt.Quick,
-			PcapDir:       pcapDir,
-			CaptureName:   fmt.Sprintf("adversarial-%02d", i),
-			Label:         fmt.Sprintf("adversarial[%02d]: adversary=%s faults=%s", i, c.adv, c.fault),
 		})
 		if err != nil {
 			return advOut{}, fmt.Errorf("adversarial case %d (adversary=%s faults=%s): %w", i, c.adv, c.fault, err)

@@ -33,18 +33,17 @@ func benchmarkFleetSegmentRate(b *testing.B, plane *telemetry.Plane) {
 	spec.FlowDeadline = 3 * time.Second
 	spec.Telemetry = plane
 
-	spec = spec.withDefaults()
+	sc := openLoopScenario(spec.withDefaults())
 	var segments uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		outs, err := Run(spec.Seed, spec.Hosts, spec.Shards, spec.Workers, func(sh *Shard) (openLoopShardOut, error) {
-			return runOpenLoopShard(&spec, sh)
-		})
+		run := sc
+		parts, err := run.shards()
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, out := range outs {
-			segments += out.segments
+		for _, p := range parts {
+			segments += p.segments
 		}
 	}
 	b.StopTimer()

@@ -9,7 +9,6 @@ import (
 	"mptcpgo/internal/experiments"
 	"mptcpgo/internal/httpsim"
 	"mptcpgo/internal/netem"
-	"mptcpgo/internal/trace"
 )
 
 // CDNSpec describes the fleet-cdn scenario: a CDN-egress incast. Every
@@ -20,15 +19,13 @@ import (
 // saturates at the shared rate and the completion-time tail stretches with
 // the crowd size, regardless of how the clients are sharded.
 type CDNSpec struct {
-	// Seed is the root RNG seed.
-	Seed uint64
+	// Envelope's Deadline defaults to 60 s: a flash crowd that has not
+	// drained by then is reported as failed, not hung.
+	Envelope
 	// Clients is the flash-crowd size.
 	Clients int
 	// ObjectSize is the bytes each client fetches (default 1 MB).
 	ObjectSize int
-	// Shards partitions the clients (0 = default partition); Workers bounds
-	// parallel shard execution (0 = GOMAXPROCS; never changes the output).
-	Shards, Workers int
 	// Shared is the egress port every download transits (zero value =
 	// "egress" at 200 Mbps, 100 ms epochs).
 	Shared capacity.SharedLink
@@ -42,15 +39,6 @@ type CDNSpec struct {
 	// address advertisement, 128 KB buffers); Server configures the
 	// replicas' listeners.
 	Conn, Server *core.Config
-	// Deadline caps each shard's simulated time (default 60 s — a flash
-	// crowd that has not drained by then is reported as failed, not hung).
-	Deadline time.Duration
-	// Label overrides the result title; Quick is recorded in the metadata.
-	Label string
-	Quick bool
-	// PcapDir, when non-empty, captures every shard's wire traffic into
-	// <PcapDir>/fleet-cdn-shard<NNN>.pcap.
-	PcapDir string
 }
 
 func (s CDNSpec) withDefaults() CDNSpec {
@@ -87,175 +75,57 @@ func (s CDNSpec) withDefaults() CDNSpec {
 	return s
 }
 
-// cdnState is one shard's live flash crowd.
-type cdnState struct {
-	graph        netem.GraphSpec
-	pools        []*httpsim.ClientPool
-	remaining    int
-	closeCapture func() error
-}
-
-// cdnShardOut is one shard's contribution: per-client completion times in
-// client order, plus totals.
-type cdnShardOut struct {
-	clients     int
-	finished    int
-	failed      int
-	bytes       uint64
-	completions []float64
-	events      uint64
-}
-
-// cdnScenario adapts the flash crowd to the epoch-coupled runner.
-type cdnScenario struct {
-	spec *CDNSpec
-	c    *capacity.Coupler
-}
-
-func (cs *cdnScenario) Setup(sh *Shard) (*cdnState, *capacity.Meter, error) {
-	spec := cs.spec
-	g := netem.GraphSpec{}
-	g.AddHost("server")
-	for gi := sh.Lo; gi < sh.Hi; gi++ {
-		g.AddLink(netem.LinkSpec{
-			Name: fmt.Sprintf("access%d", gi),
-			A:    clientHostName(gi), B: "server", Config: spec.Access,
-			// Downloads flow server (B) to client (A): that direction shares
-			// the origin's egress port.
-			SharedBA: spec.Shared.Name,
-		})
-	}
-	if err := sh.Materialize(g); err != nil {
-		return nil, nil, err
-	}
-	closeCapture, err := sh.StartCapture(spec.PcapDir, "fleet-cdn")
-	if err != nil {
-		return nil, nil, err
-	}
-	st := &cdnState{graph: g, remaining: sh.Members(), closeCapture: closeCapture}
-
-	if _, err := httpsim.StartServer(sh.Manager("server"), httpsim.ServerConfig{Port: 80, Conn: *spec.Server}); err != nil {
-		return nil, nil, err
-	}
-	for gi := sh.Lo; gi < sh.Hi; gi++ {
-		mgr := sh.Manager(clientHostName(gi))
-		iface := mgr.Host().Interfaces()[0]
-		pool, err := httpsim.NewClientPool(mgr, httpsim.ClientPoolConfig{
-			Clients:       1,
-			TotalRequests: 1,
-			TransferSize:  spec.ObjectSize,
-			ServerAddr:    iface.Path().Peer(iface).Addr(),
-			ServerPort:    80,
-			Conn:          *spec.Conn,
-			Iface:         iface,
-			OnDone:        func() { st.remaining-- },
-		})
-		if err != nil {
-			return nil, nil, fmt.Errorf("fleet: shard %d client %d: %w", sh.Index, gi, err)
-		}
-		st.pools = append(st.pools, pool)
-		// Flash crowd: every client dials at t=0; the shared egress, not a
-		// staggered start, decides who finishes when.
-		sh.Sim.Schedule(0, pool.Start)
-	}
-
-	var weightOf func(i int) float64
-	if spec.Weight != nil {
-		lo := sh.Lo
-		weightOf = func(i int) float64 { return spec.Weight(lo + i) }
-	}
-	m, err := capacity.NewMeter(cs.c, sh.Net, g, weightOf)
-	if err != nil {
-		return nil, nil, fmt.Errorf("fleet: shard %d: %w", sh.Index, err)
-	}
-	return st, m, nil
-}
-
-func (cs *cdnScenario) Done(_ *Shard, st *cdnState) bool { return st.remaining == 0 }
-
-func (cs *cdnScenario) Collect(sh *Shard, st *cdnState) (cdnShardOut, error) {
-	out := cdnShardOut{clients: sh.Members(), events: sh.Sim.Processed}
-	for _, p := range st.pools {
-		r := p.Result()
-		out.finished += r.Completed
-		out.failed += r.Failed
-		out.bytes += r.BytesReceived
-		out.completions = append(out.completions, p.LatencySamples()...)
-	}
-	if err := st.closeCapture(); err != nil {
-		return cdnShardOut{}, err
-	}
-	return out, nil
-}
-
 // RunCDN executes the fleet-cdn scenario and returns the merged result,
 // byte-identical at any worker count for a fixed spec.
 func RunCDN(spec CDNSpec) (*experiments.Result, error) {
 	spec = spec.withDefaults()
-	if spec.Clients <= 0 {
-		return nil, fmt.Errorf("fleet: cdn workload has no clients")
-	}
-	if err := spec.Shared.Validate(); err != nil {
-		return nil, err
-	}
-
-	var coupler *capacity.Coupler
-	scn := &cdnScenario{spec: &spec}
-	outs, err := RunCoupled[*cdnState, cdnShardOut](
-		spec.Seed, spec.Clients, spec.Shards, spec.Workers, spec.Deadline,
-		func(descs []Shard) (*capacity.Coupler, error) {
-			c, err := capacity.NewCoupler([]capacity.SharedLink{spec.Shared}, memberWeights(descs, spec.Weight))
-			if err != nil {
-				return nil, err
-			}
-			coupler = c
-			scn.c = c
-			return c, nil
-		}, scn)
-	if err != nil {
-		return nil, err
-	}
-
-	title := spec.Label
-	if title == "" {
-		title = fmt.Sprintf("CDN flash crowd through shared egress %s (%s)",
-			spec.Shared.Name, capacity.FormatRate(spec.Shared.RateBps))
-	}
-	res := &experiments.Result{ID: "fleet-cdn", Title: title, Seed: spec.Seed, Quick: spec.Quick}
-
-	table := experiments.NewTable(
-		fmt.Sprintf("%d clients × %sMB objects across %d shards, shared %s",
-			spec.Clients, fmtMB(uint64(spec.ObjectSize)), len(outs), spec.Shared),
-		"shard", "clients", "finished", "failed", "MB", "slowest ms", "p95 ms", "goodput Mbps", "events")
-	var all cdnShardOut
-	var allCompletions []float64
-	slowest := make([]float64, len(outs))
-	goodput := make([]float64, len(outs))
-	for i, out := range outs {
-		slowest[i] = trace.Max(out.completions)
-		goodput[i] = shardGoodputMbps(out.bytes, slowest[i])
-		table.AddRow(fmt.Sprintf("%d", i), fmt.Sprintf("%d", out.clients),
-			fmt.Sprintf("%d", out.finished), fmt.Sprintf("%d", out.failed),
-			fmtMB(out.bytes), fmt.Sprintf("%.2f", slowest[i]),
-			fmt.Sprintf("%.2f", trace.Percentile(out.completions, 95)),
-			fmt.Sprintf("%.1f", goodput[i]), fmt.Sprintf("%d", out.events))
-		all.finished += out.finished
-		all.failed += out.failed
-		all.bytes += out.bytes
-		all.events += out.events
-		allCompletions = append(allCompletions, out.completions...)
-	}
-	worst := trace.Max(allCompletions)
-	table.AddRow("all", fmt.Sprintf("%d", spec.Clients),
-		fmt.Sprintf("%d", all.finished), fmt.Sprintf("%d", all.failed),
-		fmtMB(all.bytes), fmt.Sprintf("%.2f", worst),
-		fmt.Sprintf("%.2f", trace.Percentile(allCompletions, 95)),
-		fmt.Sprintf("%.1f", shardGoodputMbps(all.bytes, worst)), fmt.Sprintf("%d", all.events))
-	table.AddNote("flash crowd: every client dials at t=0 and every download transits shared egress %q — fleet goodput divides total bytes by the slowest completion and saturates at the egress rate",
-		spec.Shared.Name)
-	res.AddTable(table)
-	res.AddSeries(ShardSeries("slowest completion", "ms", slowest))
-	res.AddSeries(ShardSeries("goodput", "Mbps", goodput))
-	addCapacityReport(res, coupler)
-	return res, nil
+	return run(scenario[completions]{
+		env: spec.Envelope, id: "fleet-cdn", members: spec.Clients,
+		title: fmt.Sprintf("CDN flash crowd through shared egress %s (%s)",
+			spec.Shared.Name, capacity.FormatRate(spec.Shared.RateBps)),
+		// Downloads flow server (B) to client (A): that direction shares the
+		// origin's egress port.
+		shared: &spec.Shared, weight: spec.Weight,
+		host: clientHostName,
+		graph: func(sh *Shard) netem.GraphSpec {
+			return starGraph(sh, "server", clientHostName, func(gi int) (string, netem.PathConfig) {
+				return fmt.Sprintf("access%d", gi), spec.Access
+			})
+		},
+		start: func(sh *Shard) (shardWork[completions], error) {
+			// Flash crowd: every client dials at t=0; the shared egress, not a
+			// staggered start, decides who finishes when.
+			return startPools(sh, *spec.Server, atZero, func(gi int, mgr *core.Manager, iface *netem.Interface, onDone func()) (*httpsim.ClientPool, error) {
+				return httpsim.NewClientPool(mgr, httpsim.ClientPoolConfig{
+					Clients:       1,
+					TotalRequests: 1,
+					TransferSize:  spec.ObjectSize,
+					ServerAddr:    iface.Path().Peer(iface).Addr(),
+					ServerPort:    80,
+					Conn:          *spec.Conn,
+					Iface:         iface,
+					OnDone:        onDone,
+				})
+			}, func(pools []*httpsim.ClientPool) (completions, error) {
+				var out completions
+				for _, p := range pools {
+					r := p.Result()
+					out.finished += r.Completed
+					out.failed += r.Failed
+					out.bytes += r.BytesReceived
+					out.times = append(out.times, p.LatencySamples()...)
+				}
+				return out, nil
+			})
+		},
+		render: func(res *experiments.Result, parts []part[completions]) {
+			renderCompletions(res, parts,
+				fmt.Sprintf("%d clients × %sMB objects across %d shards, shared %s",
+					spec.Clients, fmtMB(uint64(spec.ObjectSize)), len(parts), spec.Shared),
+				"clients",
+				fmt.Sprintf("flash crowd: every client dials at t=0 and every download transits shared egress %q — fleet goodput divides total bytes by the slowest completion and saturates at the egress rate",
+					spec.Shared.Name),
+				"goodput")
+		},
+	})
 }

@@ -3,6 +3,7 @@ package fleet
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"time"
 
 	"mptcpgo/internal/core"
@@ -13,7 +14,6 @@ import (
 	"mptcpgo/internal/packet"
 	"mptcpgo/internal/probe"
 	"mptcpgo/internal/sim"
-	"mptcpgo/internal/telemetry"
 )
 
 // chaosStream offsets the DeriveSeed stream indices used for per-member
@@ -36,14 +36,11 @@ const chaosStream = 0x0C4A_0000
 // TCP with a taxonomized reason — corruption, duplication and silent hangs
 // are failures.
 type ChaosSpec struct {
-	// Seed is the root RNG seed; shard seeds, fault jitter and payload
-	// patterns all derive from it.
-	Seed uint64
+	// Envelope's Deadline defaults to 45s and its CaptureName to
+	// "fleet-chaos"; the adversarial grid sets per-case capture names.
+	Envelope
 	// Members is the number of dual-homed client hosts.
 	Members int
-	// Shards partitions the members (0 = default); Workers bounds parallel
-	// shard execution (0 = GOMAXPROCS; never changes the output).
-	Shards, Workers int
 	// TransferBytes is each member's upload size (default 384 KiB).
 	TransferBytes int
 	// Faults is the fault schedule applied independently to every member's
@@ -54,29 +51,11 @@ type ChaosSpec struct {
 	Adversary string
 	// WatchdogInterval is the stall-detection sampling period (default 2s).
 	WatchdogInterval time.Duration
-	// Deadline caps each shard's simulated time (default 45s).
-	Deadline time.Duration
 	// Conn configures member connections (nil = MPTCP, no address
 	// advertisement, 4 RTO retries per subflow so dead paths fail fast).
 	Conn *core.Config
 	// Server configures the server replicas (nil = same hardening).
 	Server *core.Config
-	// Label overrides the result title; Quick is recorded in the metadata.
-	Label string
-	Quick bool
-	// PcapDir, when non-empty, captures every shard's wire traffic into
-	// <PcapDir>/<CaptureName>-shard<NNN>.pcap (fallback handshakes included).
-	PcapDir string
-	// CaptureName overrides the capture file prefix (default "fleet-chaos");
-	// the adversarial grid uses it for per-case file names.
-	CaptureName string
-	// Trace enables the flight recorder: typed events, per-member counters
-	// and per-subflow samples written to <Trace.Dir>/<CaptureName>-trace.json
-	// and -events.jsonl. Never changes the scenario's own result.
-	Trace experiments.TraceSpec
-	// Telemetry, when non-nil, attaches the run to a telemetry plane (live
-	// shard cells, phase spans). Attaching never changes the merged result.
-	Telemetry *telemetry.Plane
 }
 
 func (s ChaosSpec) withDefaults() ChaosSpec {
@@ -96,9 +75,6 @@ func (s ChaosSpec) withDefaults() ChaosSpec {
 	if s.Server == nil {
 		srv := chaosConnConfig()
 		s.Server = &srv
-	}
-	if s.CaptureName == "" {
-		s.CaptureName = "fleet-chaos"
 	}
 	return s
 }
@@ -136,7 +112,6 @@ type chaosMember struct {
 	serverEOF      bool
 	clientClosed   bool
 	serverClosed   bool
-	clientErr      error
 	fallbackReason string
 	stalled        bool
 	stallDump      string
@@ -299,25 +274,7 @@ func (m *chaosMerge) reasonSummary() string {
 	for _, k := range keys {
 		parts = append(parts, fmt.Sprintf("%s:%d", k, m.reasons[k]))
 	}
-	return joinComma(parts)
-}
-
-func joinComma(parts []string) string {
-	out := ""
-	for i, p := range parts {
-		if i > 0 {
-			out += ","
-		}
-		out += p
-	}
-	return out
-}
-
-// chaosShardOut is one shard's contribution to the merged result.
-type chaosShardOut struct {
-	merge  chaosMerge
-	events uint64
-	rec    *probe.Recorder
+	return strings.Join(parts, ",")
 }
 
 // RunChaos executes the fleet-chaos scenario and returns the merged result,
@@ -331,66 +288,80 @@ func RunChaos(spec ChaosSpec) (*experiments.Result, error) {
 // experiment grid consumes directly instead of re-parsing the table.
 func runChaos(spec ChaosSpec) (*experiments.Result, chaosMerge, error) {
 	spec = spec.withDefaults()
-	if spec.Members <= 0 {
-		return nil, chaosMerge{}, fmt.Errorf("fleet: chaos workload has no members")
-	}
 	if _, _, ok := middlebox.AdversaryPreset(spec.Adversary); !ok {
 		return nil, chaosMerge{}, fmt.Errorf("fleet: unknown adversary preset %q (have %v)",
 			spec.Adversary, middlebox.AdversaryPresetNames())
 	}
-	outs, err := Run(spec.Seed, spec.Members, spec.Shards, spec.Workers, func(sh *Shard) (chaosShardOut, error) {
-		return runChaosShard(&spec, sh)
+	adv := spec.Adversary
+	if adv == "" {
+		adv = "none"
+	}
+	fault := spec.Faults.String()
+	if fault == "" {
+		fault = "none"
+	}
+	var total chaosMerge
+	res, err := run(scenario[chaosMerge]{
+		env: spec.Envelope, id: "fleet-chaos", members: spec.Members,
+		title: fmt.Sprintf("chaos: %d members, faults=%s, adversary=%s", spec.Members, fault, adv),
+		host:  clientHostName,
+		graph: func(sh *Shard) netem.GraphSpec {
+			// Member gi owns links 2(gi-Lo) and 2(gi-Lo)+1 of the shard graph.
+			g := netem.GraphSpec{}
+			g.AddHost("server")
+			for gi := sh.Lo; gi < sh.Hi; gi++ {
+				primary, secondary, _ := middlebox.AdversaryPreset(spec.Adversary)
+				g.AddLink(netem.LinkSpec{
+					Name: fmt.Sprintf("chaos%da", gi),
+					A:    clientHostName(gi), B: "server",
+					Config: DefaultAccessLink(2 * gi),
+					Boxes:  primary,
+				})
+				g.AddLink(netem.LinkSpec{
+					Name: fmt.Sprintf("chaos%db", gi),
+					A:    clientHostName(gi), B: "server",
+					Config: DefaultAccessLink(2*gi + 1),
+					Boxes:  secondary,
+				})
+			}
+			return g
+		},
+		start: func(sh *Shard) (shardWork[chaosMerge], error) { return startChaos(&spec, sh) },
+		render: func(res *experiments.Result, parts []part[chaosMerge]) {
+			total = renderChaos(res, parts, &spec)
+		},
 	})
-	if err != nil {
-		return nil, chaosMerge{}, err
-	}
+	return res, total, err
+}
 
-	title := spec.Label
-	if title == "" {
-		adv := spec.Adversary
-		if adv == "" {
-			adv = "none"
-		}
-		fault := spec.Faults.String()
-		if fault == "" {
-			fault = "none"
-		}
-		title = fmt.Sprintf("chaos: %d members, faults=%s, adversary=%s", spec.Members, fault, adv)
-	}
-	res := &experiments.Result{ID: "fleet-chaos", Title: title, Seed: spec.Seed, Quick: spec.Quick}
-
+// renderChaos renders the outcome table and returns the fleet tally.
+func renderChaos(res *experiments.Result, parts []part[chaosMerge], spec *ChaosSpec) chaosMerge {
 	table := experiments.NewTable(
 		fmt.Sprintf("%d members across %d shards, %d KiB each, watchdog %v",
-			spec.Members, len(outs), spec.TransferBytes>>10, spec.WatchdogInterval),
+			spec.Members, len(parts), spec.TransferBytes>>10, spec.WatchdogInterval),
 		"shard", "members", "ok", "fallback", "stalled", "stallEp", "failed", "intact",
 		"reinject", "connRtx", "flaps", "ifdown", "ifup", "reasons", "events")
-	mergeSpan := spec.Telemetry.StartSpan("merge")
 	var total chaosMerge
 	var totalEvents uint64
-	okSeries := make([]float64, len(outs))
-	for i, out := range outs {
-		okSeries[i] = float64(out.merge.ok + out.merge.fallback)
-		table.AddRow(fmt.Sprintf("%d", i), fmt.Sprintf("%d", out.merge.members),
-			fmt.Sprintf("%d", out.merge.ok), fmt.Sprintf("%d", out.merge.fallback),
-			fmt.Sprintf("%d", out.merge.stalled), fmt.Sprintf("%d", out.merge.stallEps),
-			fmt.Sprintf("%d", out.merge.failed),
-			fmt.Sprintf("%d", out.merge.intact),
-			fmt.Sprintf("%d", out.merge.reinjections), fmt.Sprintf("%d", out.merge.connRtx),
-			fmt.Sprintf("%d", out.merge.flaps), fmt.Sprintf("%d", out.merge.removals),
-			fmt.Sprintf("%d", out.merge.restores),
-			out.merge.reasonSummary(), fmt.Sprintf("%d", out.events))
-		total.merge(out.merge)
-		totalEvents += out.events
+	okSeries := make([]float64, len(parts))
+	row := func(name string, m *chaosMerge, events uint64) {
+		table.AddRow(name, fmt.Sprintf("%d", m.members),
+			fmt.Sprintf("%d", m.ok), fmt.Sprintf("%d", m.fallback),
+			fmt.Sprintf("%d", m.stalled), fmt.Sprintf("%d", m.stallEps),
+			fmt.Sprintf("%d", m.failed),
+			fmt.Sprintf("%d", m.intact),
+			fmt.Sprintf("%d", m.reinjections), fmt.Sprintf("%d", m.connRtx),
+			fmt.Sprintf("%d", m.flaps), fmt.Sprintf("%d", m.removals),
+			fmt.Sprintf("%d", m.restores),
+			m.reasonSummary(), fmt.Sprintf("%d", events))
 	}
-	table.AddRow("all", fmt.Sprintf("%d", total.members),
-		fmt.Sprintf("%d", total.ok), fmt.Sprintf("%d", total.fallback),
-		fmt.Sprintf("%d", total.stalled), fmt.Sprintf("%d", total.stallEps),
-		fmt.Sprintf("%d", total.failed),
-		fmt.Sprintf("%d", total.intact),
-		fmt.Sprintf("%d", total.reinjections), fmt.Sprintf("%d", total.connRtx),
-		fmt.Sprintf("%d", total.flaps), fmt.Sprintf("%d", total.removals),
-		fmt.Sprintf("%d", total.restores),
-		total.reasonSummary(), fmt.Sprintf("%d", totalEvents))
+	for i, p := range parts {
+		okSeries[i] = float64(p.out.ok + p.out.fallback)
+		row(fmt.Sprintf("%d", i), &p.out, p.events)
+		total.merge(p.out)
+		totalEvents += p.events
+	}
+	row("all", &total, totalEvents)
 	table.AddNote("invariant: every member must finish ok (intact hash, multipath), or fallback (intact hash, taxonomized reason); stalled = watchdog abort, failed = connection error or integrity violation")
 	table.AddNote("stallEp counts distinct watchdog stall episodes (runs of no-progress intervals) across the shard's members")
 	if !spec.Faults.Empty() {
@@ -404,61 +375,20 @@ func runChaos(spec ChaosSpec) (*experiments.Result, chaosMerge, error) {
 	for _, dump := range total.stallDumps {
 		table.AddNote("%s", dump)
 	}
-	mergeSpan.End()
-	if spec.Trace.Enabled() {
-		recs := make([]*probe.Recorder, len(outs))
-		for i, out := range outs {
-			recs[i] = out.rec
-		}
-		tr := experiments.BuildTraceResult("fleet-chaos-trace", title+" (flight recorder)", spec.Seed, spec.Quick, recs)
-		if err := experiments.WriteTraceFiles(spec.Trace, spec.CaptureName, tr, experiments.MergedEvents(recs)); err != nil {
-			return nil, chaosMerge{}, err
-		}
-	}
-	return res, total, nil
+	return total
 }
 
-// runChaosShard builds one shard: a server replica plus the shard's members,
-// each a dual-homed client with per-member fault injection and an integrity-
-// checked upload.
-func runChaosShard(spec *ChaosSpec, sh *Shard) (chaosShardOut, error) {
-	buildSpan := spec.Telemetry.StartSpan("build-graph")
-	g := netem.GraphSpec{}
-	g.AddHost("server")
-	pathIdx := make(map[int][2]int, sh.Members())
-	for gi := sh.Lo; gi < sh.Hi; gi++ {
-		primary, secondary, _ := middlebox.AdversaryPreset(spec.Adversary)
-		ia := g.AddLink(netem.LinkSpec{
-			Name: fmt.Sprintf("chaos%da", gi),
-			A:    clientHostName(gi), B: "server",
-			Config: DefaultAccessLink(2 * gi),
-			Boxes:  primary,
-		})
-		ib := g.AddLink(netem.LinkSpec{
-			Name: fmt.Sprintf("chaos%db", gi),
-			A:    clientHostName(gi), B: "server",
-			Config: DefaultAccessLink(2*gi + 1),
-			Boxes:  secondary,
-		})
-		pathIdx[gi] = [2]int{ia, ib}
-	}
-	if err := sh.Materialize(g); err != nil {
-		return chaosShardOut{}, err
-	}
-	closeCapture, err := sh.StartCapture(spec.PcapDir, spec.CaptureName)
-	if err != nil {
-		return chaosShardOut{}, err
-	}
-	defer closeCapture()
-	rec := sh.StartProbe(spec.Trace)
-
+// startChaos starts the shard's server replica and members: each a
+// dual-homed client with per-member fault injection and an integrity-checked
+// upload.
+func startChaos(spec *ChaosSpec, sh *Shard) (shardWork[chaosMerge], error) {
+	rec := sh.Probe
 	srvMgr := sh.Manager("server")
 	remaining := sh.Members()
 	members := make([]*chaosMember, 0, sh.Members())
 	for gi := sh.Lo; gi < sh.Hi; gi++ {
 		gi := gi
 		mgr := sh.Manager(clientHostName(gi))
-		mgr.SetProbe(rec, gi)
 		m := &chaosMember{
 			spec:    spec,
 			gi:      gi,
@@ -486,14 +416,14 @@ func runChaosShard(spec *ChaosSpec, sh *Shard) (chaosShardOut, error) {
 				m.maybeFinish()
 			}
 		}); err != nil {
-			return chaosShardOut{}, fmt.Errorf("fleet: shard %d member %d: %w", sh.Index, gi, err)
+			return shardWork[chaosMerge]{}, fmt.Errorf("fleet: shard %d member %d: %w", sh.Index, gi, err)
 		}
 
 		iface := mgr.Host().Interfaces()[0]
 		serverAddr := iface.Path().Peer(iface).Addr()
 		conn, err := mgr.Dial(iface, packet.Endpoint{Addr: serverAddr, Port: port}, *spec.Conn)
 		if err != nil {
-			return chaosShardOut{}, fmt.Errorf("fleet: shard %d member %d dial: %w", sh.Index, gi, err)
+			return shardWork[chaosMerge]{}, fmt.Errorf("fleet: shard %d member %d dial: %w", sh.Index, gi, err)
 		}
 		m.client = conn
 		conn.OnEstablished = m.pump
@@ -503,17 +433,14 @@ func runChaosShard(spec *ChaosSpec, sh *Shard) (chaosShardOut, error) {
 				m.fallbackReason = reason
 			}
 		}
-		conn.OnClosed = func(err error) {
+		conn.OnClosed = func(error) {
 			m.clientClosed = true
-			m.clientErr = err
 			m.maybeFinish()
 		}
 
 		// Per-member fault injection: the member's two paths, jitter stream
 		// = global member index (identical across any shard partition).
-		idx := pathIdx[gi]
-		paths := []*netem.Path{sh.Net.Paths[idx[0]], sh.Net.Paths[idx[1]]}
-		m.injector = faults.Apply(sh.Sim, spec.Faults, paths, mgr, spec.Seed, uint64(gi))
+		m.injector = faults.Apply(sh.Sim, spec.Faults, memberPaths(sh, gi), mgr, spec.Seed, uint64(gi))
 		m.injector.SetProbe(rec, gi)
 
 		m.watchdog = faults.NewWatchdog(sh.Sim, spec.WatchdogInterval,
@@ -531,15 +458,22 @@ func runChaosShard(spec *ChaosSpec, sh *Shard) (chaosShardOut, error) {
 	}
 
 	members64 := int64(sh.Members())
-	sh.AttachTelemetry(spec.Telemetry, func() (int64, int64) {
-		return members64 - int64(remaining), members64
-	})
-	buildSpan.End()
-	rec.StartSampler(func() bool { return remaining == 0 })
-	sh.StepUntil(spec.Deadline, func() bool { return remaining == 0 })
+	return shardWork[chaosMerge]{
+		done:     func() bool { return remaining == 0 },
+		progress: func() (int64, int64) { return members64 - int64(remaining), members64 },
+		collect:  func() (chaosMerge, error) { return collectChaos(sh, members), nil },
+	}, nil
+}
 
-	out := chaosShardOut{events: sh.probeEvents(), rec: rec}
-	out.merge.members = sh.Members()
+// memberPaths returns member gi's two paths in the shard network.
+func memberPaths(sh *Shard, gi int) []*netem.Path {
+	i := 2 * (gi - sh.Lo)
+	return sh.Net.Paths[i : i+2 : i+2]
+}
+
+// collectChaos tallies the shard's member outcomes in member order.
+func collectChaos(sh *Shard, members []*chaosMember) chaosMerge {
+	out := chaosMerge{members: sh.Members()}
 	for _, m := range members {
 		if !m.done {
 			// Deadline expiry without watchdog abort (possible only when the
@@ -553,52 +487,47 @@ func runChaosShard(spec *ChaosSpec, sh *Shard) (chaosShardOut, error) {
 		}
 		switch m.outcome {
 		case outcomeOK:
-			out.merge.ok++
+			out.ok++
 		case outcomeFallback:
-			out.merge.fallback++
-			out.merge.addReason(faults.ClassifyFallback(m.fallbackReason))
+			out.fallback++
+			out.addReason(faults.ClassifyFallback(m.fallbackReason))
 		case outcomeStalled:
-			out.merge.stalled++
-			out.merge.stallDumps = append(out.merge.stallDumps, m.stallDump)
+			out.stalled++
+			out.stallDumps = append(out.stallDumps, m.stallDump)
 		default:
-			out.merge.failed++
+			out.failed++
 			if m.fallbackReason != "" {
-				out.merge.addReason(faults.ClassifyFallback(m.fallbackReason))
+				out.addReason(faults.ClassifyFallback(m.fallbackReason))
 			}
 		}
 		if m.checker.Intact() {
-			out.merge.intact++
+			out.intact++
 		}
-		out.merge.bytes += m.checker.Received()
+		out.bytes += m.checker.Received()
 		if m.client != nil {
 			st := m.client.Stats()
-			out.merge.reinjections += st.Reinjections
-			out.merge.connRtx += st.ConnLevelRtx
+			out.reinjections += st.Reinjections
+			out.connRtx += st.ConnLevelRtx
 		}
-		out.merge.flaps += m.injector.Flaps
-		out.merge.removals += m.injector.Removals
-		out.merge.restores += m.injector.Restores
-		out.merge.stallEps += m.watchdog.Episodes
-		if rec != nil {
+		out.flaps += m.injector.Flaps
+		out.removals += m.injector.Removals
+		out.restores += m.injector.Restores
+		out.stallEps += m.watchdog.Episodes
+		if sh.Probe != nil {
 			// Fold the member's wire drops (both paths, both directions) into
 			// its counter registry at collect time.
-			idx := pathIdx[m.gi]
 			var drops uint64
-			for _, pi := range idx {
-				for _, l := range []*netem.Link{sh.Net.Paths[pi].LinkAB(), sh.Net.Paths[pi].LinkBA()} {
+			for _, p := range memberPaths(sh, m.gi) {
+				for _, l := range []*netem.Link{p.LinkAB(), p.LinkBA()} {
 					st := l.Stats()
 					drops += st.DroppedQueue + st.DroppedRandom
 				}
 			}
-			rec.CountFinal(m.gi, probe.CtrDrops, drops)
+			sh.Probe.CountFinal(m.gi, probe.CtrDrops, drops)
 		}
 	}
-	if err := closeCapture(); err != nil {
-		return chaosShardOut{}, err
-	}
 	if sh.Capture != nil {
-		out.merge.encodeErrors = sh.Capture.EncodeErrors
+		out.encodeErrors = sh.Capture.EncodeErrors
 	}
-	sh.FinishTelemetry()
-	return out, nil
+	return out
 }

@@ -7,7 +7,6 @@ import (
 	"mptcpgo/internal/capacity"
 	"mptcpgo/internal/experiments"
 	"mptcpgo/internal/netem"
-	"mptcpgo/internal/probe"
 )
 
 // CorelinkSpec describes the fleet-corelink scenario: the open-loop HTTP
@@ -50,215 +49,23 @@ func (s CorelinkSpec) withDefaults() CorelinkSpec {
 	return s
 }
 
-// memberWeights sums the per-member weights of each shard in the partition —
-// the coupler's per-shard allocation weights. Weights depend only on the
-// global member indices, so they are invariant across worker counts and,
-// summed, consistent across shard counts.
-func memberWeights(descs []Shard, weight func(i int) float64) []float64 {
-	ws := make([]float64, len(descs))
-	for i, d := range descs {
-		if weight == nil {
-			ws[i] = float64(d.Members())
-			continue
-		}
-		for gi := d.Lo; gi < d.Hi; gi++ {
-			ws[i] += weight(gi)
-		}
-	}
-	return ws
-}
-
-// corelinkScenario adapts the open-loop shard machinery to the epoch-coupled
-// runner: same graphs and pools, but the download direction of every access
-// link is tagged with the shared core resource and the shard is stepped in
-// epoch windows instead of free-running.
-type corelinkScenario struct {
-	spec *CorelinkSpec
-	c    *capacity.Coupler
-	// recs[shard] is the shard's flight recorder (nil when tracing is off).
-	// Written by Setup (each worker its own slot), read by the coupler's
-	// OnEpoch hook on the allocator goroutine — the epoch barrier's
-	// worker-pool join provides the happens-before edge.
-	recs []*probe.Recorder
-}
-
-func (cs *corelinkScenario) Setup(sh *Shard) (*openLoopState, *capacity.Meter, error) {
-	// Access links run client (A) to server (B); responses flow B->A, so the
-	// download direction is the one transiting the shared core.
-	st, err := buildOpenLoopShard(&cs.spec.OpenLoopSpec, sh, "fleet-corelink", func(gi int, l *netem.LinkSpec) {
-		l.SharedBA = cs.spec.Shared.Name
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	var weightOf func(i int) float64
-	if cs.spec.Weight != nil {
-		lo := sh.Lo
-		weightOf = func(i int) float64 { return cs.spec.Weight(lo + i) }
-	}
-	m, err := capacity.NewMeter(cs.c, sh.Net, st.graph, weightOf)
-	if err != nil {
-		return nil, nil, fmt.Errorf("fleet: shard %d: %w", sh.Index, err)
-	}
-	cs.recs[sh.Index] = sh.Probe
-	return st, m, nil
-}
-
-func (cs *corelinkScenario) Done(_ *Shard, st *openLoopState) bool { return st.done() }
-
-func (cs *corelinkScenario) Collect(sh *Shard, st *openLoopState) (openLoopShardOut, error) {
-	return st.collect(sh)
-}
-
 // RunCorelink executes the fleet-corelink scenario and returns the merged
 // result, byte-identical at any worker count for a fixed spec.
 func RunCorelink(spec CorelinkSpec) (*experiments.Result, error) {
 	spec = spec.withDefaults()
-	if spec.Hosts <= 0 {
-		return nil, fmt.Errorf("fleet: corelink workload has no hosts")
-	}
-	if err := spec.Shared.Validate(); err != nil {
-		return nil, err
-	}
-
-	var coupler *capacity.Coupler
-	scn := &corelinkScenario{spec: &spec}
-	outs, err := RunCoupled[*openLoopState, openLoopShardOut](
-		spec.Seed, spec.Hosts, spec.Shards, spec.Workers, spec.Deadline,
-		func(descs []Shard) (*capacity.Coupler, error) {
-			c, err := capacity.NewCoupler([]capacity.SharedLink{spec.Shared}, memberWeights(descs, spec.Weight))
-			if err != nil {
-				return nil, err
-			}
-			if spec.Telemetry != nil {
-				c.Attach(spec.Telemetry.Reg, spec.Telemetry.Prof)
-			}
-			coupler = c
-			scn.c = c
-			scn.recs = make([]*probe.Recorder, len(descs))
-			if spec.Trace.Enabled() {
-				// Epoch allocations are fleet-global; record them once, on the
-				// first shard's recorder against its first member. They carry
-				// shard-aggregate state, so they are part of the worker-count
-				// byte-identity contract but not the shard-count one.
-				c.OnEpoch = func(r capacity.EpochRecord) {
-					rec := scn.recs[0]
-					rec.Emit(rec.Lo(), probe.KindEpochAlloc, -1, int32(r.Link), int64(r.Epoch), int64(r.Bottlenecked))
-					if r.Bottlenecked > 0 {
-						rec.Count(rec.Lo(), probe.CtrEpochCongested, 1)
-					}
-				}
-			}
-			return c, nil
-		}, scn)
-	if err != nil {
-		return nil, err
-	}
-
-	title := spec.Label
-	if title == "" {
-		title = fmt.Sprintf("open-loop fleet contending for shared link %s (%s)",
-			spec.Shared.Name, capacity.FormatRate(spec.Shared.RateBps))
-	}
-	res := &experiments.Result{ID: "fleet-corelink", Title: title, Seed: spec.Seed, Quick: spec.Quick}
-
-	table := experiments.NewTable(
-		fmt.Sprintf("%d arrival hosts across %d shards, %v window, shared %s",
-			spec.Hosts, len(outs), spec.Window, spec.Shared),
-		"shard", "hosts", "offered", "done", "dropped", "shed", "failed", "open",
-		"offered Mbps", "goodput Mbps", "p50 ms", "p99 ms", "events")
-	mergeSpan := spec.Telemetry.StartSpan("merge")
-	var total openLoopMerge
-	var totalEvents uint64
-	goodput := make([]float64, len(outs))
-	p99 := make([]float64, len(outs))
-	for i, out := range outs {
-		goodput[i] = out.merge.goodputMbps()
-		p99[i] = out.merge.percentile(99)
-		table.AddRow(fmt.Sprintf("%d", i), fmt.Sprintf("%d", out.hosts),
-			fmt.Sprintf("%d", out.merge.offered), fmt.Sprintf("%d", out.merge.completed),
-			fmt.Sprintf("%d", out.merge.dropped), fmt.Sprintf("%d", out.merge.shed),
-			fmt.Sprintf("%d", out.merge.failed), fmt.Sprintf("%d", out.merge.unfinished),
-			fmt.Sprintf("%.2f", out.merge.offeredMbps()), fmt.Sprintf("%.2f", goodput[i]),
-			fmt.Sprintf("%.2f", out.merge.percentile(50)),
-			fmt.Sprintf("%.2f", p99[i]), fmt.Sprintf("%d", out.events))
-		total.merge(out.merge)
-		totalEvents += out.events
-	}
-	table.AddRow("all", fmt.Sprintf("%d", spec.Hosts),
-		fmt.Sprintf("%d", total.offered), fmt.Sprintf("%d", total.completed),
-		fmt.Sprintf("%d", total.dropped), fmt.Sprintf("%d", total.shed),
-		fmt.Sprintf("%d", total.failed), fmt.Sprintf("%d", total.unfinished),
-		fmt.Sprintf("%.2f", total.offeredMbps()), fmt.Sprintf("%.2f", total.goodputMbps()),
-		fmt.Sprintf("%.2f", total.percentile(50)),
-		fmt.Sprintf("%.2f", total.percentile(99)), fmt.Sprintf("%d", totalEvents))
-	table.AddNote("every download direction transits shared link %q: global goodput saturates at its %s no matter how the fleet is sharded — overload is a system property, not a per-shard one",
+	sc := openLoopScenario(spec.OpenLoopSpec)
+	sc.id = "fleet-corelink"
+	sc.title = fmt.Sprintf("open-loop fleet contending for shared link %s (%s)",
 		spec.Shared.Name, capacity.FormatRate(spec.Shared.RateBps))
-	res.AddTable(table)
-	res.AddSeries(ShardSeries("goodput", "Mbps", goodput))
-	res.AddSeries(ShardSeries("latency p99", "ms", p99))
-	addCapacityReport(res, coupler)
-	mergeSpan.End()
-	spec.Telemetry.SetLatency(total.hist)
-	if spec.Trace.Enabled() {
-		recs := make([]*probe.Recorder, len(outs))
-		for i, out := range outs {
-			recs[i] = out.rec
-		}
-		tr := experiments.BuildTraceResult("fleet-corelink-trace", title+" (flight recorder)", spec.Seed, spec.Quick, recs)
-		if err := experiments.WriteTraceFiles(spec.Trace, "fleet-corelink", tr, experiments.MergedEvents(recs)); err != nil {
-			return nil, err
-		}
+	// Access links run client (A) to server (B); responses flow B->A, so the
+	// download direction is the one transiting the shared core.
+	sc.shared, sc.weight = &spec.Shared, spec.Weight
+	sc.render = func(res *experiments.Result, parts []part[openLoopMerge]) {
+		renderOpenLoop(res, parts, spec.Telemetry,
+			fmt.Sprintf("%d arrival hosts across %d shards, %v window, shared %s",
+				spec.Hosts, len(parts), spec.Window, spec.Shared),
+			fmt.Sprintf("every download direction transits shared link %q: global goodput saturates at its %s no matter how the fleet is sharded — overload is a system property, not a per-shard one",
+				spec.Shared.Name, capacity.FormatRate(spec.Shared.RateBps)))
 	}
-	return res, nil
-}
-
-// addCapacityReport appends the coupler's per-epoch capacity trace to a
-// result: one summary row per shared link plus offered/through series over
-// epochs. The trace is part of the deterministic merge — it depends only on
-// (epoch, shard index, offered bytes) — so it rides the same byte-identity
-// contract as the scenario tables.
-func addCapacityReport(res *experiments.Result, c *capacity.Coupler) {
-	links := c.Links()
-	epochSec := c.Epoch().Seconds()
-	table := experiments.NewTable(
-		fmt.Sprintf("shared-link capacity exchange: %d epoch windows of %v", c.Epochs(), c.Epoch()),
-		"link", "rate Mbps", "epochs", "offered Mbps", "through Mbps", "util %", "congested")
-	for j, l := range links {
-		var offered, sent uint64
-		congested := 0
-		perEpochOffered := make([]float64, 0, c.Epochs())
-		perEpochThrough := make([]float64, 0, c.Epochs())
-		for _, rec := range c.Trace() {
-			if rec.Link != j {
-				continue
-			}
-			offered += rec.OfferedBytes
-			sent += rec.SentBytes
-			if rec.Bottlenecked > 0 {
-				congested++
-			}
-			perEpochOffered = append(perEpochOffered, float64(rec.OfferedBytes)*8/epochSec/1e6)
-			perEpochThrough = append(perEpochThrough, float64(rec.SentBytes)*8/epochSec/1e6)
-		}
-		n := len(perEpochOffered)
-		if n == 0 {
-			continue
-		}
-		span := float64(n) * epochSec
-		offMbps := float64(offered) * 8 / span / 1e6
-		thruMbps := float64(sent) * 8 / span / 1e6
-		table.AddRow(l.Name, fmt.Sprintf("%.2f", float64(l.RateBps)/1e6),
-			fmt.Sprintf("%d", n), fmt.Sprintf("%.2f", offMbps), fmt.Sprintf("%.2f", thruMbps),
-			fmt.Sprintf("%.1f", thruMbps/(float64(l.RateBps)/1e6)*100),
-			fmt.Sprintf("%d", congested))
-		x := make([]float64, n)
-		for i := range x {
-			x[i] = float64(i)
-		}
-		res.AddSeries(experiments.Series{Name: l.Name + " offered", Unit: "Mbps", XLabel: "epoch", X: x, Y: perEpochOffered})
-		res.AddSeries(experiments.Series{Name: l.Name + " through", Unit: "Mbps", XLabel: "epoch", X: x, Y: perEpochThrough})
-	}
-	table.AddNote("offered counts every byte presented to tagged directions (drops included: demand); through counts serialized bytes; congested counts epochs where at least one shard's demand exceeded its allocation")
-	res.AddTable(table)
+	return run(sc)
 }

@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"mptcpgo/internal/core"
-	"mptcpgo/internal/experiments"
 	"mptcpgo/internal/netem"
 	"mptcpgo/internal/probe"
 	"mptcpgo/internal/sim"
@@ -73,7 +72,7 @@ type Shard struct {
 	// Profiler is concurrency-safe). Nil when telemetry is detached.
 	Prof *telemetry.Profiler
 	// flows reports live workload progress (done, offered) for the shard;
-	// set by scenario shard functions via AttachTelemetry.
+	// set by the scenario skeleton from the family's workload.
 	flows func() (done, offered int64)
 }
 
@@ -115,16 +114,14 @@ func (sh *Shard) SegmentsSent() uint64 {
 }
 
 // AttachTelemetry wires the shard to a telemetry plane: allocates its
-// publication cell and remembers the live flow-progress closure (called on
-// the shard goroutine only). A nil plane is a no-op, keeping the untelemetered
-// step loop exactly as it was.
-func (sh *Shard) AttachTelemetry(p *telemetry.Plane, flows func() (done, offered int64)) {
+// publication cell. A nil plane is a no-op, keeping the untelemetered step
+// loop exactly as it was.
+func (sh *Shard) AttachTelemetry(p *telemetry.Plane) {
 	if p == nil {
 		return
 	}
 	sh.Telem = p.Track.Cell(sh.Index, sh.Count)
 	sh.Prof = p.Prof
-	sh.flows = flows
 	sh.publishTelemetry()
 }
 
@@ -186,6 +183,28 @@ func (sh *Shard) StepUntil(deadline time.Duration, done func() bool) {
 	sh.publishTelemetry()
 }
 
+// runTo steps a free-running shard: until done reports true or the deadline
+// passes, or — for a fixed-duration workload (done == nil) — exactly to the
+// deadline.
+func (sh *Shard) runTo(deadline time.Duration, done func() bool) error {
+	if done != nil {
+		sh.StepUntil(deadline, done)
+		return nil
+	}
+	span := sh.Prof.Start("shard-step")
+	err := sh.Sim.RunUntil(deadline)
+	span.End()
+	sh.publishTelemetry()
+	return err
+}
+
+// release drops a collected shard's runtime, so its simulation does not stay
+// live while other shards still run. The flight recorder stays for the trace
+// files.
+func (sh *Shard) release() {
+	sh.Sim, sh.Net, sh.Managers, sh.Capture, sh.flows = nil, nil, nil, nil, nil
+}
+
 // plan normalizes a (members, shards) request: shards defaults to one per
 // DefaultMembersPerShard members and is clamped to [1, members].
 func plan(members, shards int) (int, error) {
@@ -228,19 +247,4 @@ func MakeShards(root uint64, members, count int) ([]Shard, error) {
 		lo += n
 	}
 	return shards, nil
-}
-
-// Run partitions members items across shards (0 = default partition), runs fn
-// for every shard on up to workers goroutines (0 = GOMAXPROCS) and returns the
-// per-shard outputs in shard-index order. fn must treat everything outside its
-// Shard as immutable; under that contract the outputs — and anything merged
-// from them in shard order — are identical at any worker count.
-func Run[T any](root uint64, members, shards, workers int, fn func(sh *Shard) (T, error)) ([]T, error) {
-	descs, err := MakeShards(root, members, shards)
-	if err != nil {
-		return nil, err
-	}
-	return experiments.SweepWorkers(len(descs), workers, func(i int) (T, error) {
-		return fn(&descs[i])
-	})
 }

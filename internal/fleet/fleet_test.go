@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"mptcpgo/internal/experiments"
+	"mptcpgo/internal/netem"
 	"mptcpgo/internal/packet"
 	"mptcpgo/internal/trace"
 )
@@ -29,6 +30,24 @@ func testHTTPSpec(workers int) HTTPSpec {
 	spec.Shards = 4
 	spec.Workers = workers
 	return spec
+}
+
+// testCDNSpec is a small fleet-cdn flash crowd: 12 clients across 3 shards
+// fetching 64 KiB each through a 20 Mbps shared egress.
+func testCDNSpec(workers int) CDNSpec {
+	spec := CDNSpec{Envelope: Envelope{Seed: 42, Shards: 3, Workers: workers}, Clients: 12, ObjectSize: 64 << 10}
+	spec.Shared.RateBps = netem.Mbps(20)
+	return spec
+}
+
+// testIncastSpec is a small incast fan-in: 12 senders across 3 shards.
+func testIncastSpec(workers int) IncastSpec {
+	return IncastSpec{Envelope: Envelope{Seed: 7, Shards: 3, Workers: workers}, Senders: 12, BlockSize: 64 << 10}
+}
+
+// testMixedSpec is a small mixed-traffic run: 4 pairs across 2 shards for 1 s.
+func testMixedSpec(workers int) MixedSpec {
+	return MixedSpec{Envelope: Envelope{Seed: 7, Shards: 2, Workers: workers}, Pairs: 4, Duration: time.Second}
 }
 
 // TestMakeShards pins the partition: balanced contiguous ranges, per-shard
@@ -127,7 +146,7 @@ func TestFleetHTTPShardCountDeterminism(t *testing.T) {
 // TestFleetIncastDeterminism covers the incast scenario: parallel and
 // sequential runs merge to the same bytes.
 func TestFleetIncastDeterminism(t *testing.T) {
-	spec := IncastSpec{Seed: 7, Senders: 24, BlockSize: 64 << 10, Shards: 3}
+	spec := IncastSpec{Envelope: Envelope{Seed: 7, Shards: 3}, Senders: 24, BlockSize: 64 << 10}
 	seq := spec
 	seq.Workers = 1
 	par := spec
@@ -148,7 +167,7 @@ func TestFleetIncastDeterminism(t *testing.T) {
 // TestFleetMixedDeterminism covers the mixed scenario at a small size (it is
 // the most event-heavy of the three).
 func TestFleetMixedDeterminism(t *testing.T) {
-	spec := MixedSpec{Seed: 7, Pairs: 4, Shards: 2, Duration: time.Second}
+	spec := MixedSpec{Envelope: Envelope{Seed: 7, Shards: 2}, Pairs: 4, Duration: time.Second}
 	seq := spec
 	seq.Workers = 1
 	par := spec

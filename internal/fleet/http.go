@@ -9,7 +9,6 @@ import (
 	"mptcpgo/internal/experiments"
 	"mptcpgo/internal/httpsim"
 	"mptcpgo/internal/netem"
-	"mptcpgo/internal/probe"
 	"mptcpgo/internal/telemetry"
 )
 
@@ -36,30 +35,13 @@ type HTTPClient struct {
 // its own access link to a server, partitioned into shards that each own a
 // server replica plus the shard's client hosts.
 type HTTPSpec struct {
-	// Seed is the root RNG seed; every shard derives its own seed from it.
-	Seed uint64
-	// Shards partitions the clients (0 = one shard per DefaultMembersPerShard
-	// clients). The shard count is part of the scenario; the worker count is
-	// not.
-	Shards int
-	// Workers bounds the parallel shard executions (0 = GOMAXPROCS).
-	Workers int
-	// Deadline caps each shard's simulated time (default DefaultDeadline).
-	Deadline time.Duration
+	Envelope
 	// Clients lists the resolved per-client specs; the global client index is
 	// the position in this slice.
 	Clients []HTTPClient
 	// Server is the listener configuration of every server replica (nil =
 	// MPTCP-enabled default without address advertisement).
 	Server *core.Config
-	// Label overrides the result title.
-	Label string
-	// Quick is recorded in the result metadata.
-	Quick bool
-	// PcapDir, when non-empty, captures every shard's wire traffic into
-	// <PcapDir>/fleet-http-shard<NNN>.pcap (classic pcap, raw IPv4).
-	// Capture never changes the merged result.
-	PcapDir string
 	// Shared, when non-nil, couples every client's download direction to the
 	// named shared bottleneck: the shards run in lock-stepped epoch windows
 	// and jointly respect its rate. Nil keeps the shards free-running.
@@ -67,13 +49,6 @@ type HTTPSpec struct {
 	// Weight gives client i's allocation weight on the shared bottleneck
 	// (nil = equal weights); ignored when Shared is nil.
 	Weight func(i int) float64
-	// Trace enables the flight recorder (events + counters + samples written
-	// to Trace.Dir). Never changes the scenario's own result.
-	Trace experiments.TraceSpec
-	// Telemetry, when non-nil, attaches the run to a telemetry plane: live
-	// shard progress cells, phase-profiler spans and the merged latency
-	// histogram. Attaching never changes the merged result.
-	Telemetry *telemetry.Plane
 	// LatencySampleCap bounds per-pool raw latency-sample retention (0 =
 	// unlimited, today's exact behavior). When capped, merged latency
 	// statistics come from the log-scale histograms instead of raw samples —
@@ -111,13 +86,10 @@ func DefaultHTTPSpec(seed uint64, clients, requests, size int) HTTPSpec {
 			Conn:         conn,
 		}
 	}
-	return HTTPSpec{Seed: seed, Clients: specs}
+	return HTTPSpec{Envelope: Envelope{Seed: seed}, Clients: specs}
 }
 
 func (s HTTPSpec) withDefaults() HTTPSpec {
-	if s.Deadline <= 0 {
-		s.Deadline = DefaultDeadline
-	}
 	if s.Server == nil {
 		srv := core.DefaultConfig()
 		srv.AdvertiseAddresses = false
@@ -145,14 +117,6 @@ func (s HTTPSpec) withDefaults() HTTPSpec {
 	return s
 }
 
-// httpShardOut is one shard's contribution to the merged result.
-type httpShardOut struct {
-	clients int
-	merge   PoolMerge
-	events  uint64
-	rec     *probe.Recorder
-}
-
 // clientHostName names the global client i's host; zero-padding keeps names
 // aligned in traces regardless of fleet size.
 func clientHostName(i int) string { return fmt.Sprintf("c%05d", i) }
@@ -162,230 +126,137 @@ func clientHostName(i int) string { return fmt.Sprintf("c%05d", i) }
 // (seed, clients, shards).
 func RunHTTP(spec HTTPSpec) (*experiments.Result, error) {
 	spec = spec.withDefaults()
-	var outs []httpShardOut
-	var coupler *capacity.Coupler
-	var err error
+	title := "sharded closed-loop HTTP server workload"
 	if spec.Shared != nil {
-		if err := spec.Shared.Validate(); err != nil {
-			return nil, err
-		}
-		scn := &httpCoupledScenario{spec: &spec}
-		outs, err = RunCoupled[*httpState, httpShardOut](
-			spec.Seed, len(spec.Clients), spec.Shards, spec.Workers, spec.Deadline,
-			func(descs []Shard) (*capacity.Coupler, error) {
-				c, err := capacity.NewCoupler([]capacity.SharedLink{*spec.Shared}, memberWeights(descs, spec.Weight))
-				if err != nil {
-					return nil, err
+		title = fmt.Sprintf("sharded closed-loop HTTP through shared %s (%s)",
+			spec.Shared.Name, capacity.FormatRate(spec.Shared.RateBps))
+	}
+	return run(scenario[PoolMerge]{
+		env: spec.Envelope, id: "fleet-http", title: title, members: len(spec.Clients),
+		shared: spec.Shared, weight: spec.Weight,
+		host: clientHostName,
+		graph: func(sh *Shard) netem.GraphSpec {
+			return starGraph(sh, "server", clientHostName, func(gi int) (string, netem.PathConfig) {
+				c := &spec.Clients[gi]
+				if c.LinkName == "" {
+					return fmt.Sprintf("access%d", gi), c.Link
 				}
-				if spec.Telemetry != nil {
-					c.Attach(spec.Telemetry.Reg, spec.Telemetry.Prof)
+				return c.LinkName, c.Link
+			})
+		},
+		start: func(sh *Shard) (shardWork[PoolMerge], error) {
+			// Stagger starts by global index so the fleet-wide handshake herd
+			// is spread out the same way regardless of the partition.
+			stagger := func(gi int) time.Duration { return time.Duration(gi%97) * 127 * time.Microsecond }
+			return startPools(sh, *spec.Server, stagger, func(gi int, mgr *core.Manager, iface *netem.Interface, onDone func()) (*httpsim.ClientPool, error) {
+				c := &spec.Clients[gi]
+				return httpsim.NewClientPool(mgr, httpsim.ClientPoolConfig{
+					Clients:       1,
+					TotalRequests: c.Requests,
+					TransferSize:  c.TransferSize,
+					ServerAddr:    iface.Path().Peer(iface).Addr(),
+					ServerPort:    80,
+					Conn:          c.Conn,
+					Iface:         iface,
+					OnDone:        onDone,
+					SampleCap:     spec.LatencySampleCap,
+				})
+			}, func(pools []*httpsim.ClientPool) (PoolMerge, error) {
+				var m PoolMerge
+				for _, p := range pools {
+					m.Add(p.Result(), p.LatencySamples(), p.LatencyHist(), p.Capped())
 				}
-				coupler = c
-				scn.c = c
-				return c, nil
-			}, scn)
-	} else {
-		outs, err = Run(spec.Seed, len(spec.Clients), spec.Shards, spec.Workers, func(sh *Shard) (httpShardOut, error) {
-			return runHTTPShard(&spec, sh)
-		})
-	}
-	if err != nil {
-		return nil, err
-	}
+				return m, nil
+			})
+		},
+		render: func(res *experiments.Result, parts []part[PoolMerge]) {
+			renderHTTP(res, parts, spec.Telemetry)
+		},
+	})
+}
 
-	title := spec.Label
-	if title == "" {
-		title = "sharded closed-loop HTTP server workload"
-		if spec.Shared != nil {
-			title = fmt.Sprintf("sharded closed-loop HTTP through shared %s (%s)",
-				spec.Shared.Name, capacity.FormatRate(spec.Shared.RateBps))
-		}
-	}
-	res := &experiments.Result{ID: "fleet-http", Title: title, Seed: spec.Seed, Quick: spec.Quick}
-
+// renderHTTP renders the closed-loop table: one row per shard plus the
+// fleet row, whose latency statistics come from the merged samples.
+func renderHTTP(res *experiments.Result, parts []part[PoolMerge], plane *telemetry.Plane) {
 	table := experiments.NewTable(
-		fmt.Sprintf("%d closed-loop clients across %d shards", len(spec.Clients), len(outs)),
+		fmt.Sprintf("%d closed-loop clients across %d shards", members(parts), len(parts)),
 		"shard", "clients", "completed", "failed", "req/s", "mean ms", "p95 ms", "MB", "events")
-	mergeSpan := spec.Telemetry.StartSpan("merge")
 	var total PoolMerge
 	var totalEvents uint64
-	rps := make([]float64, len(outs))
-	p95 := make([]float64, len(outs))
-	for i, out := range outs {
-		r := out.merge.Result()
-		rps[i] = r.RequestsPerSec
-		p95[i] = out.merge.Percentile(95)
-		table.AddRow(fmt.Sprintf("%d", i), fmt.Sprintf("%d", out.clients),
+	rps := make([]float64, len(parts))
+	p95 := make([]float64, len(parts))
+	row := func(name string, clients int, r httpsim.PoolResult, events uint64) {
+		table.AddRow(name, fmt.Sprintf("%d", clients),
 			fmt.Sprintf("%d", r.Completed), fmt.Sprintf("%d", r.Failed),
 			fmt.Sprintf("%.1f", r.RequestsPerSec), fmtMs(r.MeanLatency), fmtMs(r.P95Latency),
-			fmtMB(r.BytesReceived), fmt.Sprintf("%d", out.events))
-		total.Merge(out.merge)
-		totalEvents += out.events
+			fmtMB(r.BytesReceived), fmt.Sprintf("%d", events))
 	}
-	tr := total.Result()
-	table.AddRow("all", fmt.Sprintf("%d", len(spec.Clients)),
-		fmt.Sprintf("%d", tr.Completed), fmt.Sprintf("%d", tr.Failed),
-		fmt.Sprintf("%.1f", tr.RequestsPerSec), fmtMs(tr.MeanLatency), fmtMs(tr.P95Latency),
-		fmtMB(tr.BytesReceived), fmt.Sprintf("%d", totalEvents))
+	for i, p := range parts {
+		r := p.out.Result()
+		rps[i] = r.RequestsPerSec
+		p95[i] = p.out.Percentile(95)
+		row(fmt.Sprintf("%d", i), p.members, r, p.events)
+		total.Merge(p.out)
+		totalEvents += p.events
+	}
+	row("all", members(parts), total.Result(), totalEvents)
 	res.AddTable(table)
 	res.AddSeries(ShardSeries("req/s", "req/s", rps))
 	res.AddSeries(ShardSeries("latency p95", "ms", p95))
-	if coupler != nil {
-		addCapacityReport(res, coupler)
-	}
-	mergeSpan.End()
-	spec.Telemetry.SetLatency(total.Hist)
-	if spec.Trace.Enabled() {
-		recs := make([]*probe.Recorder, len(outs))
-		for i, out := range outs {
-			recs[i] = out.rec
-		}
-		trr := experiments.BuildTraceResult("fleet-http-trace", title+" (flight recorder)", spec.Seed, spec.Quick, recs)
-		if err := experiments.WriteTraceFiles(spec.Trace, "fleet-http", trr, experiments.MergedEvents(recs)); err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
+	plane.SetLatency(total.Hist)
 }
 
-// httpState is one shard's live closed-loop workload between the build and
-// collect halves of a run.
-type httpState struct {
-	graph        netem.GraphSpec
-	pools        []*httpsim.ClientPool
-	remaining    int
-	closeCapture func() error
+// members sums the parts' member counts: the fleet size.
+func members[T any](parts []part[T]) int {
+	n := 0
+	for _, p := range parts {
+		n += p.members
+	}
+	return n
 }
 
-func (st *httpState) done() bool { return st.remaining == 0 }
+// pool is the per-member workload the pool families (fleet-http, fleet-cdn,
+// fleet-openloop, fleet-corelink) start on each client host.
+type pool interface {
+	Start()
+	Progress() (done, offered int)
+}
 
-// buildHTTPShard materializes one shard without running it: a server replica
-// plus the shard's client hosts, one single-client closed-loop pool per
-// client host. tag, when non-nil, edits each client's link spec (by global
-// client index) before the graph is built — the hook the coupled runner uses
-// to mark shared directions.
-func buildHTTPShard(spec *HTTPSpec, sh *Shard, tag func(gi int, l *netem.LinkSpec)) (*httpState, error) {
-	buildSpan := spec.Telemetry.StartSpan("build-graph")
-	defer buildSpan.End()
-	g := netem.GraphSpec{}
-	g.AddHost("server")
+// atZero starts every member's pool at t=0.
+func atZero(int) time.Duration { return 0 }
+
+// startPools starts the shard's server replica and one pool per member:
+// newPool builds member gi's pool on its access interface, and the pool
+// starts at(gi) into the run. The shard has settled once every pool has
+// called its onDone; collect folds the pools in member order.
+func startPools[P pool, T any](sh *Shard, server core.Config, at func(gi int) time.Duration,
+	newPool func(gi int, mgr *core.Manager, iface *netem.Interface, onDone func()) (P, error),
+	collect func(pools []P) (T, error)) (shardWork[T], error) {
+	if _, err := httpsim.StartServer(sh.Manager("server"), httpsim.ServerConfig{Port: 80, Conn: server}); err != nil {
+		return shardWork[T]{}, err
+	}
+	remaining := sh.Members()
+	pools := make([]P, 0, sh.Members())
 	for gi := sh.Lo; gi < sh.Hi; gi++ {
-		c := &spec.Clients[gi]
-		name := c.LinkName
-		if name == "" {
-			name = fmt.Sprintf("access%d", gi)
-		}
-		l := netem.LinkSpec{Name: name, A: clientHostName(gi), B: "server", Config: c.Link}
-		if tag != nil {
-			tag(gi, &l)
-		}
-		g.AddLink(l)
-	}
-	if err := sh.Materialize(g); err != nil {
-		return nil, err
-	}
-	closeCapture, err := sh.StartCapture(spec.PcapDir, "fleet-http")
-	if err != nil {
-		return nil, err
-	}
-	rec := sh.StartProbe(spec.Trace)
-	st := &httpState{graph: g, remaining: sh.Members(), closeCapture: closeCapture}
-
-	if _, err := httpsim.StartServer(sh.Manager("server"), httpsim.ServerConfig{Port: 80, Conn: *spec.Server}); err != nil {
-		return nil, err
-	}
-
-	for gi := sh.Lo; gi < sh.Hi; gi++ {
-		c := &spec.Clients[gi]
 		mgr := sh.Manager(clientHostName(gi))
-		mgr.SetProbe(rec, gi)
-		iface := mgr.Host().Interfaces()[0]
-		pool, err := httpsim.NewClientPool(mgr, httpsim.ClientPoolConfig{
-			Clients:       1,
-			TotalRequests: c.Requests,
-			TransferSize:  c.TransferSize,
-			ServerAddr:    iface.Path().Peer(iface).Addr(),
-			ServerPort:    80,
-			Conn:          c.Conn,
-			Iface:         iface,
-			OnDone:        func() { st.remaining-- },
-			SampleCap:     spec.LatencySampleCap,
-		})
+		p, err := newPool(gi, mgr, mgr.Host().Interfaces()[0], func() { remaining-- })
 		if err != nil {
-			return nil, fmt.Errorf("fleet: shard %d client %d: %w", sh.Index, gi, err)
+			return shardWork[T]{}, fmt.Errorf("fleet: shard %d member %d: %w", sh.Index, gi, err)
 		}
-		st.pools = append(st.pools, pool)
-		// Stagger starts by global index so the fleet-wide handshake herd is
-		// spread out the same way regardless of the partition.
-		sh.Sim.Schedule(time.Duration(gi%97)*127*time.Microsecond, pool.Start)
+		pools = append(pools, p)
+		sh.Sim.Schedule(at(gi), p.Start)
 	}
-	sh.AttachTelemetry(spec.Telemetry, func() (int64, int64) {
-		var done, offered int64
-		for _, p := range st.pools {
-			d, o := p.Progress()
-			done += int64(d)
-			offered += int64(o)
-		}
-		return done, offered
-	})
-	rec.StartSampler(st.done)
-	return st, nil
-}
-
-// collect finalizes one shard and returns its merge contribution.
-func (st *httpState) collect(sh *Shard) (httpShardOut, error) {
-	out := httpShardOut{clients: sh.Members(), events: sh.probeEvents(), rec: sh.Probe}
-	for _, p := range st.pools {
-		out.merge.Add(p.Result(), p.LatencySamples(), p.LatencyHist(), p.Capped())
-	}
-	if err := st.closeCapture(); err != nil {
-		return httpShardOut{}, err
-	}
-	sh.FinishTelemetry()
-	return out, nil
-}
-
-// runHTTPShard builds and free-runs one shard to completion or deadline.
-func runHTTPShard(spec *HTTPSpec, sh *Shard) (httpShardOut, error) {
-	st, err := buildHTTPShard(spec, sh, nil)
-	if err != nil {
-		return httpShardOut{}, err
-	}
-	sh.StepUntil(spec.Deadline, st.done)
-	return st.collect(sh)
-}
-
-// httpCoupledScenario adapts the closed-loop workload to the epoch-coupled
-// runner: the same graphs and pools, but every client's download direction is
-// tagged with the shared bottleneck and the shards step in epoch windows.
-type httpCoupledScenario struct {
-	spec *HTTPSpec
-	c    *capacity.Coupler
-}
-
-func (cs *httpCoupledScenario) Setup(sh *Shard) (*httpState, *capacity.Meter, error) {
-	// Responses flow server (B) to client (A); that direction transits the
-	// shared bottleneck.
-	st, err := buildHTTPShard(cs.spec, sh, func(gi int, l *netem.LinkSpec) {
-		l.SharedBA = cs.spec.Shared.Name
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	var weightOf func(i int) float64
-	if cs.spec.Weight != nil {
-		lo := sh.Lo
-		weightOf = func(i int) float64 { return cs.spec.Weight(lo + i) }
-	}
-	m, err := capacity.NewMeter(cs.c, sh.Net, st.graph, weightOf)
-	if err != nil {
-		return nil, nil, fmt.Errorf("fleet: shard %d: %w", sh.Index, err)
-	}
-	return st, m, nil
-}
-
-func (cs *httpCoupledScenario) Done(_ *Shard, st *httpState) bool { return st.done() }
-
-func (cs *httpCoupledScenario) Collect(sh *Shard, st *httpState) (httpShardOut, error) {
-	return st.collect(sh)
+	return shardWork[T]{
+		done: func() bool { return remaining == 0 },
+		progress: func() (int64, int64) {
+			var done, offered int64
+			for _, p := range pools {
+				d, o := p.Progress()
+				done += int64(d)
+				offered += int64(o)
+			}
+			return done, offered
+		},
+		collect: func() (T, error) { return collect(pools) },
+	}, nil
 }

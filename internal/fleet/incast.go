@@ -8,7 +8,6 @@ import (
 	"mptcpgo/internal/experiments"
 	"mptcpgo/internal/netem"
 	"mptcpgo/internal/packet"
-	"mptcpgo/internal/trace"
 )
 
 // IncastSpec describes the incast/fan-in scenario: many synchronized senders
@@ -17,29 +16,17 @@ import (
 // storage and MapReduce shuffles. Shards partition the senders; each shard
 // owns an aggregator replica.
 type IncastSpec struct {
-	// Seed is the root RNG seed.
-	Seed uint64
+	Envelope
 	// Senders is the total number of senders.
 	Senders int
 	// BlockSize is the bytes each sender transfers (default 256 KB).
 	BlockSize int
-	// Shards partitions the senders (0 = default partition); Workers bounds
-	// parallel shard execution (0 = GOMAXPROCS).
-	Shards, Workers int
 	// Link configures each sender's access link to the aggregator; zero
 	// selects a gigabit link with a shallow 64 KB queue.
 	Link netem.PathConfig
 	// Conn is the sender connection configuration; nil selects single-path
 	// TCP (one link per sender, so multipath adds nothing).
 	Conn *core.Config
-	// Deadline caps each shard's simulated time (default DefaultDeadline).
-	Deadline time.Duration
-	// Label overrides the result title; Quick is recorded in the metadata.
-	Label string
-	Quick bool
-	// PcapDir, when non-empty, captures every shard's wire traffic into
-	// <PcapDir>/incast-shard<NNN>.pcap.
-	PcapDir string
 }
 
 func (s IncastSpec) withDefaults() IncastSpec {
@@ -55,106 +42,39 @@ func (s IncastSpec) withDefaults() IncastSpec {
 		conn.RecvBufBytes = 256 << 10
 		s.Conn = &conn
 	}
-	if s.Deadline <= 0 {
-		s.Deadline = DefaultDeadline
-	}
 	return s
-}
-
-// incastShardOut is one shard's contribution: per-sender completion times (ms,
-// sender order), received bytes and the shard's event count.
-type incastShardOut struct {
-	senders     int
-	finished    int
-	failed      int
-	bytes       uint64
-	completions []float64
-	events      uint64
-}
-
-// RunIncast executes the incast scenario and returns the merged result.
-func RunIncast(spec IncastSpec) (*experiments.Result, error) {
-	spec = spec.withDefaults()
-	outs, err := Run(spec.Seed, spec.Senders, spec.Shards, spec.Workers, func(sh *Shard) (incastShardOut, error) {
-		return runIncastShard(&spec, sh)
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	title := spec.Label
-	if title == "" {
-		title = "synchronized fan-in to one aggregator"
-	}
-	res := &experiments.Result{ID: "incast", Title: title, Seed: spec.Seed, Quick: spec.Quick}
-
-	table := experiments.NewTable(
-		fmt.Sprintf("%d senders × %s blocks across %d shards", spec.Senders, fmtMB(uint64(spec.BlockSize))+"MB", len(outs)),
-		"shard", "senders", "finished", "failed", "MB", "slowest ms", "p95 ms", "goodput Mbps", "events")
-	var all incastShardOut
-	var allCompletions []float64
-	slowest := make([]float64, len(outs))
-	goodput := make([]float64, len(outs))
-	for i, out := range outs {
-		slowest[i] = trace.Max(out.completions)
-		goodput[i] = shardGoodputMbps(out.bytes, slowest[i])
-		table.AddRow(fmt.Sprintf("%d", i), fmt.Sprintf("%d", out.senders),
-			fmt.Sprintf("%d", out.finished), fmt.Sprintf("%d", out.failed),
-			fmtMB(out.bytes), fmt.Sprintf("%.2f", slowest[i]),
-			fmt.Sprintf("%.2f", trace.Percentile(out.completions, 95)),
-			fmt.Sprintf("%.1f", goodput[i]), fmt.Sprintf("%d", out.events))
-		all.finished += out.finished
-		all.failed += out.failed
-		all.bytes += out.bytes
-		all.events += out.events
-		allCompletions = append(allCompletions, out.completions...)
-	}
-	worst := trace.Max(allCompletions)
-	table.AddRow("all", fmt.Sprintf("%d", spec.Senders),
-		fmt.Sprintf("%d", all.finished), fmt.Sprintf("%d", all.failed),
-		fmtMB(all.bytes), fmt.Sprintf("%.2f", worst),
-		fmt.Sprintf("%.2f", trace.Percentile(allCompletions, 95)),
-		fmt.Sprintf("%.1f", shardGoodputMbps(all.bytes, worst)), fmt.Sprintf("%d", all.events))
-	table.AddNote("completion time is per-sender block transfer time; fleet goodput divides total bytes by the slowest completion (the fan-in barrier)")
-	res.AddTable(table)
-	res.AddSeries(ShardSeries("slowest completion", "ms", slowest))
-	res.AddSeries(ShardSeries("aggregate goodput", "Mbps", goodput))
-	return res, nil
-}
-
-// shardGoodputMbps is bytes transferred over the barrier window in Mbps.
-func shardGoodputMbps(bytes uint64, slowestMs float64) float64 {
-	if slowestMs <= 0 {
-		return 0
-	}
-	return float64(bytes) * 8 / (slowestMs / 1e3) / 1e6
 }
 
 func senderHostName(i int) string { return fmt.Sprintf("s%05d", i) }
 
-// runIncastShard builds one aggregator replica plus the shard's senders and
-// runs the synchronized fan-in to completion.
-func runIncastShard(spec *IncastSpec, sh *Shard) (incastShardOut, error) {
-	g := netem.GraphSpec{}
-	g.AddHost("agg")
-	for gi := sh.Lo; gi < sh.Hi; gi++ {
-		g.AddLink(netem.LinkSpec{
-			Name: fmt.Sprintf("fanin%d", gi),
-			A:    senderHostName(gi), B: "agg", Config: spec.Link,
-		})
-	}
-	if err := sh.Materialize(g); err != nil {
-		return incastShardOut{}, err
-	}
-	closeCapture, err := sh.StartCapture(spec.PcapDir, "incast")
-	if err != nil {
-		return incastShardOut{}, err
-	}
-	defer closeCapture()
+// RunIncast executes the incast scenario and returns the merged result.
+func RunIncast(spec IncastSpec) (*experiments.Result, error) {
+	spec = spec.withDefaults()
+	return run(scenario[completions]{
+		env: spec.Envelope, id: "incast", title: "synchronized fan-in to one aggregator",
+		members: spec.Senders,
+		host:    senderHostName,
+		graph: func(sh *Shard) netem.GraphSpec {
+			return starGraph(sh, "agg", senderHostName, func(gi int) (string, netem.PathConfig) {
+				return fmt.Sprintf("fanin%d", gi), spec.Link
+			})
+		},
+		start: func(sh *Shard) (shardWork[completions], error) { return startIncast(&spec, sh) },
+		render: func(res *experiments.Result, parts []part[completions]) {
+			renderCompletions(res, parts,
+				fmt.Sprintf("%d senders × %s blocks across %d shards", spec.Senders, fmtMB(uint64(spec.BlockSize))+"MB", len(parts)),
+				"senders",
+				"completion time is per-sender block transfer time; fleet goodput divides total bytes by the slowest completion (the fan-in barrier)",
+				"aggregate goodput")
+		},
+	})
+}
 
-	out := incastShardOut{senders: sh.Members()}
-	remaining := sh.Members()
-
+// startIncast starts the shard's aggregator replica and dials every sender;
+// all senders start at t=0, since the fan-in is barrier-synchronized, which
+// is exactly what makes incast hard.
+func startIncast(spec *IncastSpec, sh *Shard) (shardWork[completions], error) {
+	out := &completions{}
 	// The aggregator drains every connection; a sender's block counts as
 	// complete the moment its last byte is delivered in order (the metric
 	// incast cares about — not the later close handshake).
@@ -175,15 +95,14 @@ func runIncastShard(spec *IncastSpec, sh *Shard) (incastShardOut, error) {
 			if !completed && received >= spec.BlockSize {
 				completed = true
 				out.finished++
-				out.completions = append(out.completions, float64(sh.Sim.Now())/float64(time.Millisecond))
-				remaining--
+				out.times = append(out.times, float64(sh.Sim.Now())/float64(time.Millisecond))
 			}
 			if c.EOF() {
 				c.Close()
 			}
 		}
 	}); err != nil {
-		return incastShardOut{}, err
+		return shardWork[completions]{}, err
 	}
 	payload := make([]byte, 32<<10)
 	for gi := sh.Lo; gi < sh.Hi; gi++ {
@@ -191,7 +110,7 @@ func runIncastShard(spec *IncastSpec, sh *Shard) (incastShardOut, error) {
 		iface := mgr.Host().Interfaces()[0]
 		conn, err := mgr.Dial(iface, packet.Endpoint{Addr: iface.Path().Peer(iface).Addr(), Port: 80}, *spec.Conn)
 		if err != nil {
-			return incastShardOut{}, fmt.Errorf("fleet: shard %d sender %d: %w", sh.Index, gi, err)
+			return shardWork[completions]{}, fmt.Errorf("fleet: shard %d sender %d: %w", sh.Index, gi, err)
 		}
 		written := 0
 		pump := func() {
@@ -211,14 +130,13 @@ func runIncastShard(spec *IncastSpec, sh *Shard) (incastShardOut, error) {
 		conn.OnEstablished = pump
 		conn.OnWritable = pump
 	}
-
-	// All senders start at t=0: the fan-in is barrier-synchronized, which is
-	// exactly what makes incast hard.
-	sh.StepUntil(spec.Deadline, func() bool { return remaining == 0 })
-	out.failed = out.senders - out.finished // blocks still incomplete at the deadline
-	out.events = sh.Sim.Processed
-	if err := closeCapture(); err != nil {
-		return incastShardOut{}, err
-	}
-	return out, nil
+	senders := sh.Members()
+	return shardWork[completions]{
+		done:     func() bool { return out.finished == senders },
+		progress: func() (int64, int64) { return int64(out.finished), int64(senders) },
+		collect: func() (completions, error) {
+			out.failed = senders - out.finished // blocks still incomplete at the deadline
+			return *out, nil
+		},
+	}, nil
 }

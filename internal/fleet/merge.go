@@ -10,19 +10,13 @@ import (
 	"mptcpgo/internal/trace"
 )
 
-// PoolMerge folds httpsim.PoolResults (and their latency traces) into one
-// aggregate. Merging is deterministic as long as Add is called in a stable
-// order — the engine always merges pools in member order within a shard and
-// shards in index order.
-type PoolMerge struct {
-	Completed int
-	Failed    int
-	Bytes     uint64
-	// Duration is the longest member window; with shards running concurrently
-	// in the emulated fleet, the slowest member bounds the fleet wall-clock.
-	Duration time.Duration
-	// Samples holds the merged per-request latencies (milliseconds) in merge
-	// order.
+// Latencies is a merged latency record: the raw per-request (or per-flow)
+// latencies in milliseconds, in merge order, plus the log-scale histogram.
+// Merging is deterministic as long as it runs in a stable order — the engine
+// always merges pools in member order within a shard and shards in index
+// order — and keeping the raw samples makes fleet percentiles weight
+// requests, not shards.
+type Latencies struct {
 	Samples []float64
 	// Hist is the merged log-scale latency histogram (always populated when
 	// the pools carry one); Capped marks that at least one pool dropped raw
@@ -32,9 +26,53 @@ type PoolMerge struct {
 	Capped bool
 }
 
+// add folds one pool's (or one shard's) latency record into the aggregate.
+func (l *Latencies) add(samples []float64, hist *telemetry.Histogram, capped bool) {
+	l.Samples = append(l.Samples, samples...)
+	if hist.Count() > 0 {
+		if l.Hist == nil {
+			l.Hist = telemetry.NewLatencyHistogram()
+		}
+		if err := l.Hist.Merge(hist); err != nil {
+			// All pool histograms share one constructor; a mismatch is a bug.
+			panic(err)
+		}
+	}
+	l.Capped = l.Capped || capped
+}
+
+// Percentile returns the merged latency percentile in milliseconds: the exact
+// order statistic from the raw samples when retention was unlimited, the
+// histogram quantile once any pool was capped.
+func (l *Latencies) Percentile(p float64) float64 {
+	if l.Capped {
+		return l.Hist.Quantile(p)
+	}
+	return trace.Percentile(l.Samples, p)
+}
+
+// MeanLatencyMs returns the merged mean latency in milliseconds under the
+// same raw-vs-histogram dispatch as Percentile.
+func (l *Latencies) MeanLatencyMs() float64 {
+	if l.Capped {
+		return l.Hist.Mean()
+	}
+	return trace.Mean(l.Samples)
+}
+
+// PoolMerge folds httpsim.PoolResults (and their latency traces) into one
+// aggregate, in the same stable order as Latencies.
+type PoolMerge struct {
+	Completed int
+	Failed    int
+	Bytes     uint64
+	// Duration is the longest member window; with shards running concurrently
+	// in the emulated fleet, the slowest member bounds the fleet wall-clock.
+	Duration time.Duration
+	Latencies
+}
+
 // Add folds one pool result and its latency samples into the aggregate.
-// Callers fold pools in member order within a shard and shards in index
-// order, which keeps the histogram merge (and hence Sum) deterministic.
 func (m *PoolMerge) Add(r httpsim.PoolResult, samples []float64, hist *telemetry.Histogram, capped bool) {
 	m.Completed += r.Completed
 	m.Failed += r.Failed
@@ -42,56 +80,14 @@ func (m *PoolMerge) Add(r httpsim.PoolResult, samples []float64, hist *telemetry
 	if r.Duration > m.Duration {
 		m.Duration = r.Duration
 	}
-	m.Samples = append(m.Samples, samples...)
-	m.mergeHist(hist)
-	m.Capped = m.Capped || capped
+	m.add(samples, hist, capped)
 }
 
-// Merge folds another aggregate (typically one shard's) into this one,
-// preserving the raw samples so fleet-level percentiles weight requests, not
-// shards.
+// Merge folds another aggregate (typically one shard's) into this one.
 func (m *PoolMerge) Merge(other PoolMerge) {
-	m.Completed += other.Completed
-	m.Failed += other.Failed
-	m.Bytes += other.Bytes
-	if other.Duration > m.Duration {
-		m.Duration = other.Duration
-	}
-	m.Samples = append(m.Samples, other.Samples...)
-	m.mergeHist(other.Hist)
-	m.Capped = m.Capped || other.Capped
-}
-
-func (m *PoolMerge) mergeHist(h *telemetry.Histogram) {
-	if h.Count() == 0 {
-		return
-	}
-	if m.Hist == nil {
-		m.Hist = telemetry.NewLatencyHistogram()
-	}
-	if err := m.Hist.Merge(h); err != nil {
-		// All pool histograms share one constructor; a mismatch is a bug.
-		panic(err)
-	}
-}
-
-// Percentile returns the merged latency percentile in milliseconds: the exact
-// order statistic from the raw samples when retention was unlimited, the
-// histogram quantile once any pool was capped.
-func (m *PoolMerge) Percentile(p float64) float64 {
-	if m.Capped {
-		return m.Hist.Quantile(p)
-	}
-	return trace.Percentile(m.Samples, p)
-}
-
-// MeanLatencyMs returns the merged mean latency in milliseconds under the
-// same raw-vs-histogram dispatch as Percentile.
-func (m *PoolMerge) MeanLatencyMs() float64 {
-	if m.Capped {
-		return m.Hist.Mean()
-	}
-	return trace.Mean(m.Samples)
+	m.Add(httpsim.PoolResult{Completed: other.Completed, Failed: other.Failed,
+		BytesReceived: other.Bytes, Duration: other.Duration},
+		other.Samples, other.Hist, other.Capped)
 }
 
 // Result renders the aggregate as a PoolResult: counts and bytes are sums,
@@ -113,6 +109,60 @@ func (m *PoolMerge) Result() httpsim.PoolResult {
 		res.P95Latency = time.Duration(m.Percentile(95) * float64(time.Millisecond))
 	}
 	return res
+}
+
+// completions is one shard's barrier-style outcome (incast, fleet-cdn):
+// per-member completion times in member order, plus totals.
+type completions struct {
+	finished int
+	failed   int
+	bytes    uint64
+	times    []float64 // ms
+}
+
+// renderCompletions renders the completion-time table incast and fleet-cdn
+// share: per-shard and fleet rows with the slowest and p95 completion, and a
+// goodput that divides the bytes by the slowest completion (the barrier).
+func renderCompletions(res *experiments.Result, parts []part[completions], title, memberCol, note, goodputSeries string) {
+	table := experiments.NewTable(title,
+		"shard", memberCol, "finished", "failed", "MB", "slowest ms", "p95 ms", "goodput Mbps", "events")
+	var all completions
+	var members int
+	var events uint64
+	slowest := make([]float64, len(parts))
+	goodput := make([]float64, len(parts))
+	row := func(name string, members int, c *completions, events uint64) (float64, float64) {
+		worst := trace.Max(c.times)
+		rate := shardGoodputMbps(c.bytes, worst)
+		table.AddRow(name, fmt.Sprintf("%d", members),
+			fmt.Sprintf("%d", c.finished), fmt.Sprintf("%d", c.failed),
+			fmtMB(c.bytes), fmt.Sprintf("%.2f", worst),
+			fmt.Sprintf("%.2f", trace.Percentile(c.times, 95)),
+			fmt.Sprintf("%.1f", rate), fmt.Sprintf("%d", events))
+		return worst, rate
+	}
+	for i, p := range parts {
+		slowest[i], goodput[i] = row(fmt.Sprintf("%d", i), p.members, &p.out, p.events)
+		all.finished += p.out.finished
+		all.failed += p.out.failed
+		all.bytes += p.out.bytes
+		all.times = append(all.times, p.out.times...)
+		members += p.members
+		events += p.events
+	}
+	row("all", members, &all, events)
+	table.AddNote("%s", note)
+	res.AddTable(table)
+	res.AddSeries(ShardSeries("slowest completion", "ms", slowest))
+	res.AddSeries(ShardSeries(goodputSeries, "Mbps", goodput))
+}
+
+// shardGoodputMbps is bytes transferred over the barrier window in Mbps.
+func shardGoodputMbps(bytes uint64, slowestMs float64) float64 {
+	if slowestMs <= 0 {
+		return 0
+	}
+	return float64(bytes) * 8 / (slowestMs / 1e3) / 1e6
 }
 
 // ShardSeries builds a numeric series indexed by shard: X is the shard index,

@@ -17,8 +17,9 @@ import (
 // "does MPTCP coexist with background TCP" question at fleet scale. Shards
 // partition the pairs.
 type MixedSpec struct {
-	// Seed is the root RNG seed.
-	Seed uint64
+	// Envelope's Deadline is set to Duration: every shard runs exactly that
+	// long.
+	Envelope
 	// Pairs is the total number of client/server pairs.
 	Pairs int
 	// Background is the number of plain-TCP background flows per pair
@@ -27,15 +28,6 @@ type MixedSpec struct {
 	// Duration is the simulated run length (default 5s); Warmup is excluded
 	// from goodput measurement (default Duration/5).
 	Duration, Warmup time.Duration
-	// Shards partitions the pairs (0 = default partition); Workers bounds
-	// parallel shard execution (0 = GOMAXPROCS).
-	Shards, Workers int
-	// Label overrides the result title; Quick is recorded in the metadata.
-	Label string
-	Quick bool
-	// PcapDir, when non-empty, captures every shard's wire traffic into
-	// <PcapDir>/mixed-shard<NNN>.pcap.
-	PcapDir string
 }
 
 func (s MixedSpec) withDefaults() MixedSpec {
@@ -48,61 +40,70 @@ func (s MixedSpec) withDefaults() MixedSpec {
 	if s.Warmup <= 0 || s.Warmup >= s.Duration {
 		s.Warmup = s.Duration / 5
 	}
+	s.Deadline = s.Duration
 	return s
 }
 
 // mixedShardOut carries one shard's per-pair goodputs (pair order).
 type mixedShardOut struct {
-	pairs  int
 	fgMbps []float64 // foreground MPTCP goodput per pair
 	bgMbps []float64 // aggregate background TCP goodput per pair
-	events uint64
 }
+
+func mixedClient(i int) string { return fmt.Sprintf("cli%05d", i) }
 
 // RunMixed executes the mixed-traffic scenario and returns the merged result.
 func RunMixed(spec MixedSpec) (*experiments.Result, error) {
 	spec = spec.withDefaults()
-	outs, err := Run(spec.Seed, spec.Pairs, spec.Shards, spec.Workers, func(sh *Shard) (mixedShardOut, error) {
-		return runMixedShard(&spec, sh)
+	return run(scenario[mixedShardOut]{
+		env: spec.Envelope, id: "mixed", title: "MPTCP foreground vs plain-TCP background traffic",
+		members: spec.Pairs,
+		host:    mixedClient,
+		graph: func(sh *Shard) netem.GraphSpec {
+			// Each pair is its own WiFi+3G island inside the shard simulator.
+			g := netem.GraphSpec{}
+			wifi := netem.WiFi3GSpec()[0].Config
+			threeG := netem.WiFi3GSpec()[1].Config
+			for gi := sh.Lo; gi < sh.Hi; gi++ {
+				cli, srv := mixedClient(gi), fmt.Sprintf("srv%05d", gi)
+				g.AddLink(netem.LinkSpec{Name: fmt.Sprintf("wifi%d", gi), A: cli, B: srv, Config: wifi})
+				g.AddLink(netem.LinkSpec{Name: fmt.Sprintf("3g%d", gi), A: cli, B: srv, Config: threeG})
+			}
+			return g
+		},
+		start:  func(sh *Shard) (shardWork[mixedShardOut], error) { return startMixed(&spec, sh) },
+		render: func(res *experiments.Result, parts []part[mixedShardOut]) { renderMixed(res, parts, spec.Background) },
 	})
-	if err != nil {
-		return nil, err
-	}
+}
 
-	title := spec.Label
-	if title == "" {
-		title = "MPTCP foreground vs plain-TCP background traffic"
-	}
-	res := &experiments.Result{ID: "mixed", Title: title, Seed: spec.Seed, Quick: spec.Quick}
-
+func renderMixed(res *experiments.Result, parts []part[mixedShardOut], background int) {
 	table := experiments.NewTable(
 		fmt.Sprintf("%d WiFi+3G pairs, %d background TCP flows each, across %d shards",
-			spec.Pairs, spec.Background, len(outs)),
+			members(parts), background, len(parts)),
 		"shard", "pairs", "fg Mbps (mean)", "bg Mbps (mean)", "fg share %", "events")
 	var allFg, allBg []float64
 	var events uint64
-	fgSeries := make([]float64, len(outs))
-	bgSeries := make([]float64, len(outs))
-	for i, out := range outs {
-		fgSeries[i] = trace.Mean(out.fgMbps)
-		bgSeries[i] = trace.Mean(out.bgMbps)
-		table.AddRow(fmt.Sprintf("%d", i), fmt.Sprintf("%d", out.pairs),
+	fgSeries := make([]float64, len(parts))
+	bgSeries := make([]float64, len(parts))
+	for i, p := range parts {
+		fgSeries[i] = trace.Mean(p.out.fgMbps)
+		bgSeries[i] = trace.Mean(p.out.bgMbps)
+		table.AddRow(fmt.Sprintf("%d", i), fmt.Sprintf("%d", p.members),
 			fmt.Sprintf("%.2f", fgSeries[i]), fmt.Sprintf("%.2f", bgSeries[i]),
 			fmt.Sprintf("%.1f", shareP(fgSeries[i], bgSeries[i])),
-			fmt.Sprintf("%d", out.events))
-		allFg = append(allFg, out.fgMbps...)
-		allBg = append(allBg, out.bgMbps...)
-		events += out.events
+			fmt.Sprintf("%d", p.events))
+		allFg = append(allFg, p.out.fgMbps...)
+		allBg = append(allBg, p.out.bgMbps...)
+		events += p.events
 	}
 	fgMean, bgMean := trace.Mean(allFg), trace.Mean(allBg)
-	table.AddRow("all", fmt.Sprintf("%d", spec.Pairs),
+	table.AddRow("all", fmt.Sprintf("%d", members(parts)),
 		fmt.Sprintf("%.2f", fgMean), fmt.Sprintf("%.2f", bgMean),
 		fmt.Sprintf("%.1f", shareP(fgMean, bgMean)), fmt.Sprintf("%d", events))
 	table.AddNote("fg = one MPTCP bulk flow over WiFi+3G; bg = aggregate of the plain-TCP flows sharing the WiFi link; the coupled controller should leave the background flows their fair share of WiFi while the foreground adds 3G capacity")
 	res.AddTable(table)
 	res.AddSeries(ShardSeries("foreground goodput", "Mbps", fgSeries))
 	res.AddSeries(ShardSeries("background goodput", "Mbps", bgSeries))
-	return res, nil
 }
 
 func shareP(fg, bg float64) float64 {
@@ -112,29 +113,12 @@ func shareP(fg, bg float64) float64 {
 	return 100 * fg / (fg + bg)
 }
 
-// runMixedShard builds the shard's client/server pairs — each pair its own
-// WiFi+3G island inside the shard simulator — and measures per-pair goodput
-// over the post-warmup window.
-func runMixedShard(spec *MixedSpec, sh *Shard) (mixedShardOut, error) {
-	g := netem.GraphSpec{}
-	wifi := netem.WiFi3GSpec()[0].Config
-	threeG := netem.WiFi3GSpec()[1].Config
-	for gi := sh.Lo; gi < sh.Hi; gi++ {
-		cli, srv := fmt.Sprintf("cli%05d", gi), fmt.Sprintf("srv%05d", gi)
-		g.AddLink(netem.LinkSpec{Name: fmt.Sprintf("wifi%d", gi), A: cli, B: srv, Config: wifi})
-		g.AddLink(netem.LinkSpec{Name: fmt.Sprintf("3g%d", gi), A: cli, B: srv, Config: threeG})
-	}
-	if err := sh.Materialize(g); err != nil {
-		return mixedShardOut{}, err
-	}
-	closeCapture, err := sh.StartCapture(spec.PcapDir, "mixed")
-	if err != nil {
-		return mixedShardOut{}, err
-	}
-	defer closeCapture()
-
+// startMixed starts the shard's pairs — one foreground MPTCP and Background
+// plain-TCP bulk flows each — and measures per-pair goodput over the
+// post-warmup window. The workload never settles: the shard runs for the
+// whole Duration.
+func startMixed(spec *MixedSpec, sh *Shard) (shardWork[mixedShardOut], error) {
 	n := sh.Members()
-	out := mixedShardOut{pairs: n, fgMbps: make([]float64, n), bgMbps: make([]float64, n)}
 	fgBytes := make([]uint64, n)
 	bgBytes := make([]uint64, n)
 
@@ -148,7 +132,7 @@ func runMixedShard(spec *MixedSpec, sh *Shard) (mixedShardOut, error) {
 	payload := make([]byte, 16<<10)
 	for gi := sh.Lo; gi < sh.Hi; gi++ {
 		rel := gi - sh.Lo
-		cliMgr := sh.Manager(fmt.Sprintf("cli%05d", gi))
+		cliMgr := sh.Manager(mixedClient(gi))
 		srvMgr := sh.Manager(fmt.Sprintf("srv%05d", gi))
 		wifiIface := cliMgr.Host().Interfaces()[0]
 		remote := packet.Endpoint{Addr: wifiIface.Path().Peer(wifiIface).Addr(), Port: 80}
@@ -167,10 +151,10 @@ func runMixedShard(spec *MixedSpec, sh *Shard) (mixedShardOut, error) {
 			}
 		}
 		if _, err := srvMgr.Listen(80, fgCfg, counter(&fgBytes[rel])); err != nil {
-			return mixedShardOut{}, err
+			return shardWork[mixedShardOut]{}, err
 		}
 		if _, err := srvMgr.Listen(81, bgCfg, counter(&bgBytes[rel])); err != nil {
-			return mixedShardOut{}, err
+			return shardWork[mixedShardOut]{}, err
 		}
 
 		dialBulk := func(cfg core.Config, port uint16) error {
@@ -187,11 +171,11 @@ func runMixedShard(spec *MixedSpec, sh *Shard) (mixedShardOut, error) {
 			return nil
 		}
 		if err := dialBulk(fgCfg, 80); err != nil {
-			return mixedShardOut{}, fmt.Errorf("fleet: shard %d pair %d: %w", sh.Index, gi, err)
+			return shardWork[mixedShardOut]{}, fmt.Errorf("fleet: shard %d pair %d: %w", sh.Index, gi, err)
 		}
 		for b := 0; b < spec.Background; b++ {
 			if err := dialBulk(bgCfg, 81); err != nil {
-				return mixedShardOut{}, fmt.Errorf("fleet: shard %d pair %d bg %d: %w", sh.Index, gi, b, err)
+				return shardWork[mixedShardOut]{}, fmt.Errorf("fleet: shard %d pair %d bg %d: %w", sh.Index, gi, b, err)
 			}
 		}
 	}
@@ -203,18 +187,13 @@ func runMixedShard(spec *MixedSpec, sh *Shard) (mixedShardOut, error) {
 		copy(fgBase, fgBytes)
 		copy(bgBase, bgBytes)
 	})
-	if err := sh.Sim.RunUntil(spec.Duration); err != nil {
-		return mixedShardOut{}, err
-	}
-
-	window := (spec.Duration - spec.Warmup).Seconds()
-	for i := 0; i < n; i++ {
-		out.fgMbps[i] = float64(fgBytes[i]-fgBase[i]) * 8 / window / 1e6
-		out.bgMbps[i] = float64(bgBytes[i]-bgBase[i]) * 8 / window / 1e6
-	}
-	out.events = sh.Sim.Processed
-	if err := closeCapture(); err != nil {
-		return mixedShardOut{}, err
-	}
-	return out, nil
+	return shardWork[mixedShardOut]{collect: func() (mixedShardOut, error) {
+		window := (spec.Duration - spec.Warmup).Seconds()
+		out := mixedShardOut{fgMbps: make([]float64, n), bgMbps: make([]float64, n)}
+		for i := 0; i < n; i++ {
+			out.fgMbps[i] = float64(fgBytes[i]-fgBase[i]) * 8 / window / 1e6
+			out.bgMbps[i] = float64(bgBytes[i]-bgBase[i]) * 8 / window / 1e6
+		}
+		return out, nil
+	}}, nil
 }

@@ -11,7 +11,6 @@ import (
 	"mptcpgo/internal/probe"
 	"mptcpgo/internal/sim"
 	"mptcpgo/internal/telemetry"
-	"mptcpgo/internal/trace"
 	"mptcpgo/internal/workload"
 )
 
@@ -34,14 +33,11 @@ const openLoopStream = 0x0517_0000
 // (Seed, openLoopStream+i) — so the offered schedule depends only on the
 // spec, never on the shard partition or worker scheduling.
 type OpenLoopSpec struct {
-	// Seed is the root RNG seed; shard seeds and per-host workload streams
-	// both derive from it.
-	Seed uint64
+	// Envelope's Deadline defaults to Window + FlowDeadline + 5s — past that
+	// point every flow has settled.
+	Envelope
 	// Hosts is the number of client hosts (arrival points).
 	Hosts int
-	// Shards partitions the hosts (0 = default partition); Workers bounds
-	// parallel shard execution (0 = GOMAXPROCS; never changes the output).
-	Shards, Workers int
 	// Arrival is the fleet-wide arrival process (nil = Poisson at 100/s).
 	Arrival workload.ArrivalProcess
 	// Sizes draws per-flow transfer sizes (nil = the empirical web mix).
@@ -61,22 +57,6 @@ type OpenLoopSpec struct {
 	Conn *core.Config
 	// Server is the listener configuration of every server replica.
 	Server *core.Config
-	// Deadline caps each shard's simulated time (default Window +
-	// FlowDeadline + 5s — past that point every flow has settled).
-	Deadline time.Duration
-	// Label overrides the result title; Quick is recorded in the metadata.
-	Label string
-	Quick bool
-	// PcapDir, when non-empty, captures every shard's wire traffic into
-	// <PcapDir>/fleet-openloop-shard<NNN>.pcap.
-	PcapDir string
-	// Trace enables the flight recorder (events + counters + samples written
-	// to Trace.Dir). Never changes the scenario's own result.
-	Trace experiments.TraceSpec
-	// Telemetry, when non-nil, attaches the run to a telemetry plane (live
-	// shard cells, phase spans, merged latency histogram). Attaching never
-	// changes the merged result.
-	Telemetry *telemetry.Plane
 	// LatencySampleCap bounds per-pool raw latency-sample retention (0 =
 	// unlimited, today's exact behavior); capped runs report latency from the
 	// log-scale histograms.
@@ -88,11 +68,11 @@ type OpenLoopSpec struct {
 // fleet-wide, web-mix flow sizes.
 func DefaultOpenLoopSpec(seed uint64, hosts int, rate float64, window time.Duration) OpenLoopSpec {
 	return OpenLoopSpec{
-		Seed:    seed,
-		Hosts:   hosts,
-		Arrival: workload.Poisson(rate),
-		Sizes:   workload.WebMix(),
-		Window:  window,
+		Envelope: Envelope{Seed: seed},
+		Hosts:    hosts,
+		Arrival:  workload.Poisson(rate),
+		Sizes:    workload.WebMix(),
+		Window:   window,
 	}
 }
 
@@ -147,12 +127,7 @@ type openLoopMerge struct {
 	unfinished   int
 	window       time.Duration
 	elapsed      time.Duration
-	samples      []float64
-	// hist is the merged log-scale latency histogram; capped marks that at
-	// least one pool dropped raw samples at its SampleCap, in which case
-	// latency statistics come from hist.
-	hist   *telemetry.Histogram
-	capped bool
+	Latencies
 }
 
 func (m *openLoopMerge) add(r httpsim.OpenLoopResult, samples []float64, hist *telemetry.Histogram, capped bool) {
@@ -170,51 +145,13 @@ func (m *openLoopMerge) add(r httpsim.OpenLoopResult, samples []float64, hist *t
 	if r.Elapsed > m.elapsed {
 		m.elapsed = r.Elapsed
 	}
-	m.samples = append(m.samples, samples...)
-	m.mergeHist(hist)
-	m.capped = m.capped || capped
+	m.Latencies.add(samples, hist, capped)
 }
 
-func (m *openLoopMerge) merge(other openLoopMerge) {
-	m.offered += other.offered
-	m.offeredBytes += other.offeredBytes
-	m.completed += other.completed
-	m.bytes += other.bytes
-	m.dropped += other.dropped
-	m.shed += other.shed
-	m.failed += other.failed
-	m.unfinished += other.unfinished
-	if other.window > m.window {
-		m.window = other.window
-	}
-	if other.elapsed > m.elapsed {
-		m.elapsed = other.elapsed
-	}
-	m.samples = append(m.samples, other.samples...)
-	m.mergeHist(other.hist)
-	m.capped = m.capped || other.capped
-}
-
-func (m *openLoopMerge) mergeHist(h *telemetry.Histogram) {
-	if h.Count() == 0 {
-		return
-	}
-	if m.hist == nil {
-		m.hist = telemetry.NewLatencyHistogram()
-	}
-	if err := m.hist.Merge(h); err != nil {
-		// All pool histograms share one constructor; a mismatch is a bug.
-		panic(err)
-	}
-}
-
-// percentile dispatches between exact raw-sample order statistics (default)
-// and histogram quantiles (once any pool capped raw retention).
-func (m *openLoopMerge) percentile(p float64) float64 {
-	if m.capped {
-		return m.hist.Quantile(p)
-	}
-	return trace.Percentile(m.samples, p)
+func (m *openLoopMerge) merge(o openLoopMerge) {
+	m.add(httpsim.OpenLoopResult{Offered: o.offered, OfferedBytes: o.offeredBytes, Completed: o.completed,
+		BytesReceived: o.bytes, Dropped: o.dropped, Shed: o.shed, Failed: o.failed, Unfinished: o.unfinished,
+		Window: o.window, Elapsed: o.elapsed}, o.Samples, o.Hist, o.Capped)
 }
 
 // offeredMbps is the injected load over the arrival window.
@@ -234,146 +171,48 @@ func (m *openLoopMerge) goodputMbps() float64 {
 	return float64(m.bytes) * 8 / m.elapsed.Seconds() / 1e6
 }
 
-// openLoopShardOut is one shard's contribution to the merged result.
-type openLoopShardOut struct {
-	hosts  int
-	merge  openLoopMerge
-	events uint64
-	rec    *probe.Recorder
-	// segments counts the wire segments every link of the shard serialized —
-	// the numerator of the BenchmarkFleetSegmentRate headline metric. It is
-	// accounted but deliberately kept out of the rendered tables so the
-	// merged output stays byte-identical to earlier releases.
-	segments uint64
-}
-
 // RunOpenLoop executes the fleet-openloop scenario and returns the merged
 // result, byte-identical at any worker count for a fixed spec.
 func RunOpenLoop(spec OpenLoopSpec) (*experiments.Result, error) {
-	spec = spec.withDefaults()
-	if spec.Hosts <= 0 {
-		return nil, fmt.Errorf("fleet: open-loop workload has no hosts")
-	}
-	outs, err := Run(spec.Seed, spec.Hosts, spec.Shards, spec.Workers, func(sh *Shard) (openLoopShardOut, error) {
-		return runOpenLoopShard(&spec, sh)
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	title := spec.Label
-	if title == "" {
-		title = fmt.Sprintf("open-loop HTTP workload: %s arrivals, %s sizes",
-			spec.Arrival.Name(), spec.Sizes.Name())
-	}
-	res := &experiments.Result{ID: "fleet-openloop", Title: title, Seed: spec.Seed, Quick: spec.Quick}
-
-	table := experiments.NewTable(
-		fmt.Sprintf("%d arrival hosts across %d shards, %v window", spec.Hosts, len(outs), spec.Window),
-		"shard", "hosts", "offered", "done", "dropped", "shed", "failed", "open",
-		"offered Mbps", "goodput Mbps", "p50 ms", "p99 ms", "events")
-	mergeSpan := spec.Telemetry.StartSpan("merge")
-	var total openLoopMerge
-	var totalEvents uint64
-	goodput := make([]float64, len(outs))
-	p99 := make([]float64, len(outs))
-	for i, out := range outs {
-		goodput[i] = out.merge.goodputMbps()
-		p99[i] = out.merge.percentile(99)
-		table.AddRow(fmt.Sprintf("%d", i), fmt.Sprintf("%d", out.hosts),
-			fmt.Sprintf("%d", out.merge.offered), fmt.Sprintf("%d", out.merge.completed),
-			fmt.Sprintf("%d", out.merge.dropped), fmt.Sprintf("%d", out.merge.shed),
-			fmt.Sprintf("%d", out.merge.failed), fmt.Sprintf("%d", out.merge.unfinished),
-			fmt.Sprintf("%.2f", out.merge.offeredMbps()), fmt.Sprintf("%.2f", goodput[i]),
-			fmt.Sprintf("%.2f", out.merge.percentile(50)),
-			fmt.Sprintf("%.2f", p99[i]), fmt.Sprintf("%d", out.events))
-		total.merge(out.merge)
-		totalEvents += out.events
-	}
-	table.AddRow("all", fmt.Sprintf("%d", spec.Hosts),
-		fmt.Sprintf("%d", total.offered), fmt.Sprintf("%d", total.completed),
-		fmt.Sprintf("%d", total.dropped), fmt.Sprintf("%d", total.shed),
-		fmt.Sprintf("%d", total.failed), fmt.Sprintf("%d", total.unfinished),
-		fmt.Sprintf("%.2f", total.offeredMbps()), fmt.Sprintf("%.2f", total.goodputMbps()),
-		fmt.Sprintf("%.2f", total.percentile(50)),
-		fmt.Sprintf("%.2f", total.percentile(99)), fmt.Sprintf("%d", totalEvents))
-	table.AddNote("open-loop: arrivals are injected by the process regardless of completions; dropped = hit the %v flow deadline, shed = refused at the in-flight cap, open = still in flight at the simulation deadline", spec.FlowDeadline)
-	res.AddTable(table)
-	res.AddSeries(ShardSeries("goodput", "Mbps", goodput))
-	res.AddSeries(ShardSeries("latency p99", "ms", p99))
-	mergeSpan.End()
-	spec.Telemetry.SetLatency(total.hist)
-	if spec.Trace.Enabled() {
-		recs := make([]*probe.Recorder, len(outs))
-		for i, out := range outs {
-			recs[i] = out.rec
-		}
-		tr := experiments.BuildTraceResult("fleet-openloop-trace", title+" (flight recorder)", spec.Seed, spec.Quick, recs)
-		if err := experiments.WriteTraceFiles(spec.Trace, "fleet-openloop", tr, experiments.MergedEvents(recs)); err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
+	return run(openLoopScenario(spec.withDefaults()))
 }
 
-// openLoopState is one shard's live open-loop workload: the spec the shard
-// was built from (tags and all), its pools and its settlement counter. The
-// free-running fleet-openloop scenario and the epoch-coupled fleet-corelink
-// scenario share it — only how the simulator is advanced differs.
-type openLoopState struct {
-	graph        netem.GraphSpec
-	pools        []*httpsim.OpenLoopPool
-	remaining    int
-	closeCapture func() error
+// openLoopScenario is the free-running fleet-openloop scenario; the
+// fleet-corelink scenario is the same workload with a shared link, ID, title
+// and table header of its own.
+func openLoopScenario(spec OpenLoopSpec) scenario[openLoopMerge] {
+	return scenario[openLoopMerge]{
+		env: spec.Envelope, id: "fleet-openloop", members: spec.Hosts,
+		title: fmt.Sprintf("open-loop HTTP workload: %s arrivals, %s sizes",
+			spec.Arrival.Name(), spec.Sizes.Name()),
+		host: clientHostName,
+		graph: func(sh *Shard) netem.GraphSpec {
+			return starGraph(sh, "server", clientHostName, func(gi int) (string, netem.PathConfig) {
+				if spec.Link != nil {
+					return fmt.Sprintf("access%d", gi), spec.Link(gi)
+				}
+				return fmt.Sprintf("access%d", gi), DefaultAccessLink(gi)
+			})
+		},
+		start: func(sh *Shard) (shardWork[openLoopMerge], error) {
+			return startOpenLoopPools(&spec, sh)
+		},
+		render: func(res *experiments.Result, parts []part[openLoopMerge]) {
+			renderOpenLoop(res, parts, spec.Telemetry,
+				fmt.Sprintf("%d arrival hosts across %d shards, %v window", spec.Hosts, len(parts), spec.Window),
+				fmt.Sprintf("open-loop: arrivals are injected by the process regardless of completions; dropped = hit the %v flow deadline, shed = refused at the in-flight cap, open = still in flight at the simulation deadline", spec.FlowDeadline))
+		},
+	}
 }
 
-// done reports whether every one of the shard's flows has settled.
-func (st *openLoopState) done() bool { return st.remaining == 0 }
-
-// buildOpenLoopShard materializes one shard — a server replica plus the
-// shard's client hosts, one open-loop pool per host drawing from its thinned
-// arrival stream — without running it. tag, when non-nil, may edit each
-// access link's spec before it is added (the corelink scenario uses it to
-// mark shared-bottleneck membership).
-func buildOpenLoopShard(spec *OpenLoopSpec, sh *Shard, scenario string, tag func(gi int, l *netem.LinkSpec)) (*openLoopState, error) {
-	buildSpan := spec.Telemetry.StartSpan("build-graph")
-	defer buildSpan.End()
-	g := netem.GraphSpec{}
-	g.AddHost("server")
-	for gi := sh.Lo; gi < sh.Hi; gi++ {
-		link := DefaultAccessLink(gi)
-		if spec.Link != nil {
-			link = spec.Link(gi)
-		}
-		ls := netem.LinkSpec{
-			Name: fmt.Sprintf("access%d", gi),
-			A:    clientHostName(gi), B: "server", Config: link,
-		}
-		if tag != nil {
-			tag(gi, &ls)
-		}
-		g.AddLink(ls)
-	}
-	if err := sh.Materialize(g); err != nil {
-		return nil, err
-	}
-	closeCapture, err := sh.StartCapture(spec.PcapDir, scenario)
-	if err != nil {
-		return nil, err
-	}
-	rec := sh.StartProbe(spec.Trace)
-	st := &openLoopState{graph: g, remaining: sh.Members(), closeCapture: closeCapture}
-
-	if _, err := httpsim.StartServer(sh.Manager("server"), httpsim.ServerConfig{Port: 80, Conn: *spec.Server}); err != nil {
-		return nil, err
-	}
-
+// startOpenLoopPools starts one open-loop pool per host, each drawing from
+// its thinned arrival stream.
+func startOpenLoopPools(spec *OpenLoopSpec, sh *Shard) (shardWork[openLoopMerge], error) {
 	fraction := 1 / float64(spec.Hosts)
-	for gi := sh.Lo; gi < sh.Hi; gi++ {
-		mgr := sh.Manager(clientHostName(gi))
-		mgr.SetProbe(rec, gi)
-		iface := mgr.Host().Interfaces()[0]
-		pool, err := httpsim.NewOpenLoopPool(mgr, httpsim.OpenLoopConfig{
+	// All pools start at t=0: the arrival processes themselves spread the
+	// load (their first gaps differ per host stream).
+	return startPools(sh, *spec.Server, atZero, func(gi int, mgr *core.Manager, iface *netem.Interface, onDone func()) (*httpsim.OpenLoopPool, error) {
+		return httpsim.NewOpenLoopPool(mgr, httpsim.OpenLoopConfig{
 			Arrival:      spec.Arrival.Thin(fraction),
 			Sizes:        spec.Sizes,
 			Rng:          sim.NewRNG(sim.DeriveSeed(spec.Seed, openLoopStream+uint64(gi))),
@@ -384,59 +223,57 @@ func buildOpenLoopShard(spec *OpenLoopSpec, sh *Shard, scenario string, tag func
 			ServerPort:   80,
 			Conn:         *spec.Conn,
 			Iface:        iface,
-			OnDone:       func() { st.remaining-- },
+			OnDone:       onDone,
 			SampleCap:    spec.LatencySampleCap,
 		})
-		if err != nil {
-			return nil, fmt.Errorf("fleet: shard %d host %d: %w", sh.Index, gi, err)
+	}, func(pools []*httpsim.OpenLoopPool) (openLoopMerge, error) {
+		var m openLoopMerge
+		for _, p := range pools {
+			m.add(p.Result(), p.LatencySamples(), p.LatencyHist(), p.Capped())
 		}
-		st.pools = append(st.pools, pool)
-		// All pools start at t=0: the arrival processes themselves spread the
-		// load (their first gaps differ per host stream).
-		sh.Sim.Schedule(0, pool.Start)
-	}
-	sh.AttachTelemetry(spec.Telemetry, func() (int64, int64) {
-		var done, offered int64
-		for _, p := range st.pools {
-			d, o := p.Progress()
-			done += int64(d)
-			offered += int64(o)
+		if sh.Probe != nil {
+			// Fold each host's access-link wire drops into its counter registry.
+			for gi := sh.Lo; gi < sh.Hi; gi++ {
+				pa := sh.Net.Paths[gi-sh.Lo]
+				sa, sb := pa.LinkAB().Stats(), pa.LinkBA().Stats()
+				sh.Probe.Count(gi, probe.CtrDrops, sa.DroppedQueue+sa.DroppedRandom+sb.DroppedQueue+sb.DroppedRandom)
+			}
 		}
-		return done, offered
+		return m, nil
 	})
-	rec.StartSampler(st.done)
-	return st, nil
 }
 
-// collect finalizes the shard after its last step: fold the pool results in
-// host order, count serialized segments and close the capture.
-func (st *openLoopState) collect(sh *Shard) (openLoopShardOut, error) {
-	out := openLoopShardOut{hosts: sh.Members(), events: sh.probeEvents(), segments: sh.SegmentsSent(), rec: sh.Probe}
-	for _, p := range st.pools {
-		out.merge.add(p.Result(), p.LatencySamples(), p.LatencyHist(), p.Capped())
+// renderOpenLoop renders the open-loop table fleet-openloop and
+// fleet-corelink share: flow conservation, offered and delivered load, and
+// latency percentiles per shard and for the fleet.
+func renderOpenLoop(res *experiments.Result, parts []part[openLoopMerge], plane *telemetry.Plane, title, note string) {
+	table := experiments.NewTable(title,
+		"shard", "hosts", "offered", "done", "dropped", "shed", "failed", "open",
+		"offered Mbps", "goodput Mbps", "p50 ms", "p99 ms", "events")
+	var total openLoopMerge
+	var totalEvents uint64
+	goodput := make([]float64, len(parts))
+	p99 := make([]float64, len(parts))
+	row := func(name string, hosts int, m *openLoopMerge, events uint64) (float64, float64) {
+		g, p := m.goodputMbps(), m.Percentile(99)
+		table.AddRow(name, fmt.Sprintf("%d", hosts),
+			fmt.Sprintf("%d", m.offered), fmt.Sprintf("%d", m.completed),
+			fmt.Sprintf("%d", m.dropped), fmt.Sprintf("%d", m.shed),
+			fmt.Sprintf("%d", m.failed), fmt.Sprintf("%d", m.unfinished),
+			fmt.Sprintf("%.2f", m.offeredMbps()), fmt.Sprintf("%.2f", g),
+			fmt.Sprintf("%.2f", m.Percentile(50)),
+			fmt.Sprintf("%.2f", p), fmt.Sprintf("%d", events))
+		return g, p
 	}
-	if sh.Probe != nil {
-		// Fold each host's access-link wire drops into its counter registry.
-		for gi := sh.Lo; gi < sh.Hi; gi++ {
-			pa := sh.Net.Paths[gi-sh.Lo]
-			sa, sb := pa.LinkAB().Stats(), pa.LinkBA().Stats()
-			sh.Probe.Count(gi, probe.CtrDrops, sa.DroppedQueue+sa.DroppedRandom+sb.DroppedQueue+sb.DroppedRandom)
-		}
+	for i, p := range parts {
+		goodput[i], p99[i] = row(fmt.Sprintf("%d", i), p.members, &p.out, p.events)
+		total.merge(p.out)
+		totalEvents += p.events
 	}
-	if err := st.closeCapture(); err != nil {
-		return openLoopShardOut{}, err
-	}
-	sh.FinishTelemetry()
-	return out, nil
-}
-
-// runOpenLoopShard builds and free-runs one shard to settlement or deadline.
-func runOpenLoopShard(spec *OpenLoopSpec, sh *Shard) (openLoopShardOut, error) {
-	st, err := buildOpenLoopShard(spec, sh, "fleet-openloop", nil)
-	if err != nil {
-		return openLoopShardOut{}, err
-	}
-	defer st.closeCapture()
-	sh.StepUntil(spec.Deadline, st.done)
-	return st.collect(sh)
+	row("all", members(parts), &total, totalEvents)
+	table.AddNote("%s", note)
+	res.AddTable(table)
+	res.AddSeries(ShardSeries("goodput", "Mbps", goodput))
+	res.AddSeries(ShardSeries("latency p99", "ms", p99))
+	plane.SetLatency(total.Hist)
 }

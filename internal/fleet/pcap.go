@@ -23,22 +23,30 @@ func (sh *Shard) CaptureTo(w *trace.PcapWriter) {
 }
 
 // StartCapture opens the shard's capture file under dir and taps the
-// shard's links into it. It returns a close function that flushes and
-// closes the file (a no-op when dir is empty). Scenario shard runners call
-// it right after Materialize.
-func (sh *Shard) StartCapture(dir, scenario string) (func() error, error) {
+// shard's links into it (a no-op when dir is empty). The scenario skeleton
+// calls it right after Materialize and closes the file with closeCapture.
+func (sh *Shard) StartCapture(dir, scenario string) error {
 	if dir == "" {
-		return func() error { return nil }, nil
+		return nil
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("fleet: shard %d capture: %w", sh.Index, err)
+		return fmt.Errorf("fleet: shard %d capture: %w", sh.Index, err)
 	}
 	path := filepath.Join(dir, fmt.Sprintf("%s-shard%03d.pcap", scenario, sh.Index))
 	w, err := trace.NewPcapFile(path)
 	if err != nil {
-		return nil, fmt.Errorf("fleet: shard %d capture: %w", sh.Index, err)
+		return fmt.Errorf("fleet: shard %d capture: %w", sh.Index, err)
 	}
 	sh.Capture = w
 	sh.CaptureTo(w)
-	return w.Close, nil // idempotent: safe to defer and error-check explicitly
+	return nil
+}
+
+// closeCapture flushes and closes the shard's capture file, if open. Close
+// is idempotent, so the skeleton both defers it and checks it explicitly.
+func (sh *Shard) closeCapture() error {
+	if sh.Capture == nil {
+		return nil
+	}
+	return sh.Capture.Close()
 }

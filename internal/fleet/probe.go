@@ -16,8 +16,9 @@ import (
 // so a scenario without a recorder takes zero extra work.
 
 // StartProbe builds the shard's recorder from a trace spec and returns it
-// (nil when the spec is disabled). Scenario shard runners call it right after
-// Materialize and wire the recorder into the shard's managers and injectors.
+// (nil when the spec is disabled). The scenario skeleton calls it right after
+// Materialize and points every member's manager at it; families wire it into
+// anything else they own (fault injectors, watchdogs).
 func (sh *Shard) StartProbe(spec experiments.TraceSpec) *probe.Recorder {
 	if !spec.Enabled() {
 		return nil

@@ -23,27 +23,45 @@ import (
 func TestTelemetryChangesNothing(t *testing.T) {
 	cases := []struct {
 		name string
-		run  func(p *telemetry.Plane) (*experiments.Result, error)
+		// coupled runs step in epoch windows: the barrier span replaces
+		// shard-step, and the allocator records its own span.
+		coupled bool
+		run     func(p *telemetry.Plane) (*experiments.Result, error)
 	}{
-		{"chaos", func(p *telemetry.Plane) (*experiments.Result, error) {
+		{"chaos", false, func(p *telemetry.Plane) (*experiments.Result, error) {
 			spec := testChaosTraceSpec(2, 3)
 			spec.Telemetry = p
 			return RunChaos(spec)
 		}},
-		{"openloop", func(p *telemetry.Plane) (*experiments.Result, error) {
+		{"openloop", false, func(p *telemetry.Plane) (*experiments.Result, error) {
 			spec := testOpenLoopSpec(2, 60)
 			spec.Telemetry = p
 			return RunOpenLoop(spec)
 		}},
-		{"corelink", func(p *telemetry.Plane) (*experiments.Result, error) {
+		{"corelink", true, func(p *telemetry.Plane) (*experiments.Result, error) {
 			spec := testCorelinkSpec(2, 60, 30)
 			spec.Telemetry = p
 			return RunCorelink(spec)
 		}},
-		{"http", func(p *telemetry.Plane) (*experiments.Result, error) {
+		{"http", false, func(p *telemetry.Plane) (*experiments.Result, error) {
 			spec := testHTTPSpec(2)
 			spec.Telemetry = p
 			return RunHTTP(spec)
+		}},
+		{"cdn", true, func(p *telemetry.Plane) (*experiments.Result, error) {
+			spec := testCDNSpec(2)
+			spec.Telemetry = p
+			return RunCDN(spec)
+		}},
+		{"incast", false, func(p *telemetry.Plane) (*experiments.Result, error) {
+			spec := testIncastSpec(2)
+			spec.Telemetry = p
+			return RunIncast(spec)
+		}},
+		{"mixed", false, func(p *telemetry.Plane) (*experiments.Result, error) {
+			spec := testMixedSpec(2)
+			spec.Telemetry = p
+			return RunMixed(spec)
 		}},
 	}
 	for _, tc := range cases {
@@ -77,16 +95,14 @@ func TestTelemetryChangesNothing(t *testing.T) {
 				phases[ph.Path] = true
 			}
 			for _, want := range []string{"build-graph", "shard-step", "merge"} {
-				if tc.name == "corelink" && want == "shard-step" {
-					// Coupled shards are stepped by the epoch loop, not
-					// StepUntil; the barrier span covers them instead.
+				if tc.coupled && want == "shard-step" {
 					want = "epoch-barrier"
 				}
 				if !phases[want] {
 					t.Fatalf("profiler missing %q span; recorded %v", want, phases)
 				}
 			}
-			if tc.name == "corelink" && !phases["allocate"] {
+			if tc.coupled && !phases["allocate"] {
 				t.Fatalf("coupled run recorded no allocate span; recorded %v", phases)
 			}
 		})

@@ -25,13 +25,15 @@ func testTraceSpec(dir string) experiments.TraceSpec {
 // index) alone and the recorded streams are comparable across shard layouts.
 func testChaosTraceSpec(workers, shards int) ChaosSpec {
 	return ChaosSpec{
-		Seed:          23,
+		Envelope: Envelope{
+			Seed:    23,
+			Shards:  shards,
+			Workers: workers,
+			Quick:   true,
+		},
 		Members:       6,
-		Shards:        shards,
-		Workers:       workers,
 		TransferBytes: 64 << 10,
 		Faults:        faults.MustParse("flap500"),
-		Quick:         true,
 	}
 }
 
@@ -78,6 +80,21 @@ func TestTraceChangesNothing(t *testing.T) {
 			spec.Trace = tr
 			return RunHTTP(spec)
 		}},
+		{"cdn", func(tr experiments.TraceSpec) (*experiments.Result, error) {
+			spec := testCDNSpec(2)
+			spec.Trace = tr
+			return RunCDN(spec)
+		}},
+		{"incast", func(tr experiments.TraceSpec) (*experiments.Result, error) {
+			spec := testIncastSpec(2)
+			spec.Trace = tr
+			return RunIncast(spec)
+		}},
+		{"mixed", func(tr experiments.TraceSpec) (*experiments.Result, error) {
+			spec := testMixedSpec(2)
+			spec.Trace = tr
+			return RunMixed(spec)
+		}},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -114,7 +131,7 @@ func TestTraceChangesNothing(t *testing.T) {
 // TestTraceWorkerInvariance extends the worker-count contract to the trace
 // files themselves: both the JSONL event stream and the trace.json summary
 // must be byte-identical whether shards run sequentially under GOMAXPROCS=1
-// or in parallel under GOMAXPROCS=4. Corelink additionally covers the
+// or in parallel under GOMAXPROCS=4. Corelink and cdn additionally cover the
 // epoch-allocation events recorded from the allocator goroutine.
 func TestTraceWorkerInvariance(t *testing.T) {
 	runs := []struct {
@@ -132,6 +149,24 @@ func TestTraceWorkerInvariance(t *testing.T) {
 			spec := testCorelinkSpec(workers, 60, 30)
 			spec.Trace = testTraceSpec(dir)
 			_, err := RunCorelink(spec)
+			return err
+		}},
+		{"cdn", "fleet-cdn", func(workers int, dir string) error {
+			spec := testCDNSpec(workers)
+			spec.Trace = testTraceSpec(dir)
+			_, err := RunCDN(spec)
+			return err
+		}},
+		{"incast", "incast", func(workers int, dir string) error {
+			spec := testIncastSpec(workers)
+			spec.Trace = testTraceSpec(dir)
+			_, err := RunIncast(spec)
+			return err
+		}},
+		{"mixed", "mixed", func(workers int, dir string) error {
+			spec := testMixedSpec(workers)
+			spec.Trace = testTraceSpec(dir)
+			_, err := RunMixed(spec)
 			return err
 		}},
 	}
@@ -199,12 +234,14 @@ func TestTraceGolden(t *testing.T) {
 	const goldenLines = 60
 	dir := t.TempDir()
 	spec := ChaosSpec{
-		Seed:          7,
+		Envelope: Envelope{
+			Seed:  7,
+			Quick: true,
+			Trace: testTraceSpec(dir),
+		},
 		Members:       2,
 		TransferBytes: 48 << 10,
 		Faults:        faults.MustParse("flap500"),
-		Quick:         true,
-		Trace:         testTraceSpec(dir),
 	}
 	if _, err := RunChaos(spec); err != nil {
 		t.Fatal(err)
@@ -244,14 +281,16 @@ func TestTraceGolden(t *testing.T) {
 func TestTraceDrainTailQuantified(t *testing.T) {
 	dir := t.TempDir()
 	spec := ChaosSpec{
-		Seed:          31,
+		Envelope: Envelope{
+			Seed:  31,
+			Quick: true,
+			Trace: testTraceSpec(dir),
+		},
 		Members:       4,
 		TransferBytes: 64 << 10,
 		// Deep loss: 50% on both paths kills enough retransmissions that
 		// recovery has to fall through fast retransmit into RTO backoff.
 		Faults: faults.MustParse("loss:path=all,rate=0.5,at=200ms,dur=3s"),
-		Quick:  true,
-		Trace:  testTraceSpec(dir),
 	}
 	if _, err := RunChaos(spec); err != nil {
 		t.Fatal(err)
