@@ -37,8 +37,8 @@ func benchmarkFleetSegmentRate(b *testing.B, plane *telemetry.Plane) {
 	var segments uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		run := sc
-		parts, err := run.shards()
+		it := sc // shards records the partition on its receiver
+		parts, err := it.shards()
 		if err != nil {
 			b.Fatal(err)
 		}
